@@ -45,13 +45,6 @@ __all__ = ["LocalPoolBackend"]
 _POOL_STATE: Dict[str, object] = {"ctx": None, "decodes": 0}
 
 
-def _pool_task(task: Task, wire_ctx: Dict):
-    """Top-level single-task entry point (kept for API compatibility;
-    decodes per call — the chunked path below is what the backend
-    uses)."""
-    return run_task(tuple(task), RunContext.from_wire(wire_ctx))
-
-
 def _pool_init(parent_pid: int, wire_ctx: Dict) -> None:
     """Per-process setup: parent watchdog + one-time context decode.
 

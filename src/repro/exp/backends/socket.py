@@ -19,20 +19,21 @@ drains one sweep through the lease machinery:
   never forms.  A grant refills the window whenever a RESULT frees a
   credit;
 * every grant is a :class:`~repro.exp.leases.Lease` renewed by worker
-  HEARTBEATs — or, while result/cache traffic flows, by the
+  HEARTBEATs — or, while RESULT traffic flows, by the
   ``holding`` lease-id lists piggybacked on those frames
   (:meth:`~repro.exp.leases.LeaseTable.renew_worker`), so a busy
   pipeline never pays for dedicated heartbeat frames.  A lease whose
   deadline passes, or whose worker's connection drops (SIGKILL,
   network cut), returns its task to the queue for **reassignment** —
   the PR-3 fresh-pool retry machinery generalised to hosts;
-* workers share the content-addressed cell cache through the batched
-  CACHE_MGET / CACHE_MPUT frames (a worker's shard keys are announced
-  at WELCOME and prefetched in one round trip; computed rows are
-  published in batches) with single-key CACHE_GET / CACHE_PUT kept for
-  reassigned leases and legacy flows.  A row any worker ever computed
-  is served back over the wire instead of being recomputed, and hits
-  are counted per kind (``remote``/``local``) in :mod:`repro.obs`;
+* the coordinator owns the content-addressed cell cache: before it
+  spawns, accepts or leases anything it looks up every task under the
+  sweep's :class:`~repro.exp.planner.RunContext`, yields each hit at
+  once (``cached="remote"``) and leases only the misses; each payload
+  a worker returns is saved exactly once, when its RESULT arrives.
+  No cache query crosses the wire, and a fully warm sweep starts no
+  worker at all.  Hits are counted per kind (``remote`` here,
+  ``local`` for a worker's own ``--cache-dir``) in :mod:`repro.obs`;
 * malformed frames fail closed: the offending connection is dropped on
   the spot (its leases reassigned), the run continues, and every
   socket carries a timeout so a wedged peer becomes an error, not a
@@ -40,12 +41,10 @@ drains one sweep through the lease machinery:
   ``MAX_FRAME``/fail-closed rules (see :mod:`repro.exp.protocol`).
 
 Wire-efficiency accounting: ``round_trips`` counts the exchanges where
-the coordinator was on a worker's critical path — a blocking
-CACHE_GET, a batched CACHE_MGET, or a grant to a worker that had
-drained its window and sat idle waiting (``grant_wait``).  The
-stop-and-wait protocol paid ~2 per task; the pipelined one amortises
-grants and cache queries across the window, which is what
-``tools/bench_sched.py`` gates on.
+the coordinator was on a worker's critical path — a grant to a worker
+that had drained its window and sat idle waiting (``grant_wait``).  A
+window of 1 pays ~1 per task; the pipelined window hides nearly all
+of them, which is what ``tools/bench_sched.py`` gates on.
 
 Determinism: none of this machinery touches result *values*.  Tasks
 are idempotent pure functions of (experiment, cell, context), so
@@ -56,14 +55,14 @@ the scheduler reassembles them in request order.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import socket as socketlib
 import subprocess
 import sys
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Collection, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..cache import CellCache
 from ..chaos import ChaosPlan, ChaosProxy, maybe_crash
@@ -86,14 +85,6 @@ _LEN_BYTES = 4
 #: Ceiling on the credit window when derived from the grid size.
 _MAX_WINDOW = 16
 
-#: Ceiling on the shard task list announced in WELCOME for prefetch.
-_PREFETCH_CAP = 4096
-
-#: Soft per-frame budget when chunking a batched CACHE reply
-#: (estimated on raw JSON; compression only shrinks from here, and
-#: 4 MiB raw stays far under MAX_FRAME even when incompressible).
-_MGET_CHUNK_BYTES = 4 * 1024 * 1024
-
 
 class RemoteTaskError(RuntimeError):
     """A task failed on a remote worker after its full retry budget."""
@@ -102,9 +93,10 @@ class RemoteTaskError(RuntimeError):
 class NoWorkersError(RuntimeError):
     """No worker completed a HELLO within the connect budget.
 
-    Raised strictly *before* any outcome is produced, so the scheduler
-    can degrade gracefully — fall back to the local pool and still
-    finish the sweep — without risking double execution.
+    Raised before any task is leased — the only outcomes already
+    yielded are coordinator cache hits — so the scheduler can degrade
+    gracefully: the local pool finishes the remaining tasks without
+    risking double execution.
     """
 
 
@@ -179,8 +171,7 @@ class SocketWorkerBackend(ExecutionBackend):
                  connect_grace_s: Optional[float] = None,
                  chaos: Union[str, ChaosPlan, None] = None,
                  connect_budget_s: Optional[float] = None,
-                 pipeline: Optional[int] = None,
-                 prefetch: bool = True):
+                 pipeline: Optional[int] = None):
         super().__init__()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -190,11 +181,6 @@ class SocketWorkerBackend(ExecutionBackend):
         #: forced credit window (``--pipeline N``); None derives it
         #: from the grid size per run
         self.pipeline = pipeline
-        #: announce shard task lists at WELCOME so workers prefetch
-        #: their keys in one CACHE_MGET (False restores the per-cell
-        #: blocking CACHE_GET — the stop-and-wait baseline the
-        #: scheduler bench compares against)
-        self.prefetch = prefetch
         self.spawn = (listen is None) if spawn is None else spawn
         self.lease_timeout_s = lease_timeout_s
         self.io_timeout_s = _io_timeout_s()
@@ -204,7 +190,9 @@ class SocketWorkerBackend(ExecutionBackend):
                                  if connect_budget_s is None
                                  else connect_budget_s)
         self.cell_cache = CellCache(cache_dir) if cache_dir else None
-        self._procs: List[subprocess.Popen] = []
+        #: spawned worker processes, keyed by the ``--worker-id`` their
+        #: HELLO carries
+        self._procs: Dict[str, subprocess.Popen] = {}
         self._server = socketlib.socket(socketlib.AF_INET,
                                         socketlib.SOCK_STREAM)
         self._server.setsockopt(socketlib.SOL_SOCKET,
@@ -232,6 +220,18 @@ class SocketWorkerBackend(ExecutionBackend):
     # -- protocol surface ----------------------------------------------
     def run_tasks(self, tasks: Sequence[Task],
                   ctx: RunContext) -> Iterator[TaskOutcome]:
+        keys: Dict[Task, str] = {}     # the misses, in request order
+        if self.cell_cache is not None:
+            for task in tasks:
+                key = self.cell_cache.key_for(task, ctx)
+                payload = self.cell_cache.load(key)
+                if payload is None:
+                    keys[task] = key
+                else:
+                    self._count_cache_hit("remote")
+                    yield TaskOutcome(task, payload=payload,
+                                      cached="remote")
+            tasks = list(keys)
         if not tasks:       # nothing to do: don't spawn or accept anyone
             return
         shards = plan_shards(tasks, self.workers)
@@ -245,7 +245,6 @@ class SocketWorkerBackend(ExecutionBackend):
                         "version": package_version(),
                         "workers": self.workers,
                         "heartbeat_s": heartbeat_s,
-                        "cache": self.cell_cache is not None,
                         "pipeline": window,
                         "ctx": ctx.to_wire()}
 
@@ -335,10 +334,12 @@ class SocketWorkerBackend(ExecutionBackend):
                         for message in self._pump(conn):
                             progressed = True
                             outcome = self._handle(
-                                message, conn, table, shards, lease_tasks,
-                                errors, conns, used_slots,
-                                welcome_base, grant, drop)
+                                message, conn, table, lease_tasks,
+                                errors, used_slots, welcome_base, grant)
                             if outcome is not None:
+                                if outcome.task in keys:
+                                    self._publish(keys[outcome.task],
+                                                  outcome.payload)
                                 yield outcome
                     except VersionMismatchError:
                         # already counted; the BYE carried the reason
@@ -400,11 +401,13 @@ class SocketWorkerBackend(ExecutionBackend):
                         errors.get(task, "task failed on remote worker")),
                     attempts=ctx.retries + 1)
         finally:
+            said_bye = set()
             for conn in list(conns):
-                self._send(conn, {"type": "BYE"})
+                if conn.helloed and self._send(conn, {"type": "BYE"}):
+                    said_bye.add(conn.worker)
                 drop(conn, "done")
             sel.close()
-            self._reap_workers()
+            self._reap_workers(said_bye)
 
     def plan(self, tasks: Sequence[Task], ctx: RunContext) -> Dict:
         plan = {"backend": self.name, "workers": self.workers,
@@ -412,7 +415,6 @@ class SocketWorkerBackend(ExecutionBackend):
                 "listen": f"{self.address[0]}:{self.address[1]}",
                 "spawn": self.spawn,
                 "pipeline": self._window(len(tasks)),
-                "prefetch": self.prefetch and self.cell_cache is not None,
                 "shards": self._shard_plan(tasks, ctx, self.workers)}
         if self.chaos_plan is not None:
             plan["chaos"] = self.chaos_plan.to_spec()
@@ -441,7 +443,7 @@ class SocketWorkerBackend(ExecutionBackend):
             self._server.close()
         except OSError:
             pass
-        self._reap_workers(kill=True)
+        self._reap_workers()
 
     # -- coordinator internals -----------------------------------------
     def _accept(self, sel: selectors.DefaultSelector,
@@ -487,9 +489,9 @@ class SocketWorkerBackend(ExecutionBackend):
             yield decode_body(body)
 
     def _handle(self, message: Dict, conn: _Conn, table: LeaseTable,
-                shards, lease_tasks: Dict[int, Task],
-                errors: Dict[Task, str], conns, used_slots: set,
-                welcome_base: Dict, grant, drop) -> Optional[TaskOutcome]:
+                lease_tasks: Dict[int, Task], errors: Dict[Task, str],
+                used_slots: set, welcome_base: Dict,
+                grant) -> Optional[TaskOutcome]:
         mtype = message["type"]
         if mtype == "HELLO":
             try:
@@ -510,13 +512,6 @@ class SocketWorkerBackend(ExecutionBackend):
             self._count("workers_joined")
             welcome = dict(welcome_base)
             welcome["slot"] = conn.slot
-            if (self.prefetch and self.cell_cache is not None
-                    and conn.slot is not None):
-                # announce the worker's shard so it can prefetch every
-                # key it is likely to be granted in one CACHE_MGET
-                welcome["prefetch"] = [
-                    [exp_id, index] for exp_id, index
-                    in shards[conn.slot][:_PREFETCH_CAP]]
             if self._send(conn, welcome):
                 grant(conn)
             return None
@@ -535,83 +530,12 @@ class SocketWorkerBackend(ExecutionBackend):
             else:
                 self._count("stale_heartbeats")
             return None
-        if mtype == "CACHE_GET":
-            self._renew_holding(message, conn, table)
-            self._count("round_trips", kind="cache_get")
-            payload = None
-            if self.cell_cache is not None:
-                payload = self.cell_cache.load(str(message.get("key", "")))
-            self._send(conn, {"type": "CACHE",
-                              "key": message.get("key"),
-                              "payload": payload})
-            return None
-        if mtype == "CACHE_MGET":
-            self._renew_holding(message, conn, table)
-            self._handle_mget(message, conn)
-            return None
-        if mtype == "CACHE_PUT":
-            self._renew_holding(message, conn, table)
-            if self.cell_cache is not None:
-                try:
-                    self.cell_cache.save(str(message.get("key", "")),
-                                         message.get("payload"))
-                    self._count("cache_publishes")
-                except (ValueError, OSError):
-                    pass        # bad key/disk trouble: cache is advisory
-            return None
-        if mtype == "CACHE_MPUT":
-            self._renew_holding(message, conn, table)
-            entries = message.get("entries")
-            if not isinstance(entries, dict):
-                raise ProtocolError("CACHE_MPUT entries must be an object")
-            if self.cell_cache is not None:
-                for key in sorted(entries):
-                    try:
-                        self.cell_cache.save(str(key), entries[key])
-                        self._count("cache_publishes")
-                    except (ValueError, OSError):
-                        pass    # advisory, same as CACHE_PUT
-            return None
         if mtype == "RESULT":
             return self._handle_result(message, conn, table, lease_tasks,
                                        errors, grant)
         if mtype == "BYE":
             raise _Eof()
         raise ProtocolError(f"unexpected {mtype} from a worker")
-
-    def _handle_mget(self, message: Dict, conn: _Conn) -> None:
-        """Answer a batched cache query in as few frames as possible.
-
-        One CACHE_MGET collapses what used to be one blocking round
-        trip per cell.  Replies are chunked by estimated body size so
-        a shard of large rows never produces an over-``MAX_FRAME``
-        frame; the final chunk carries ``eom`` so the worker knows the
-        batch is complete.
-        """
-        keys = message.get("keys")
-        if not isinstance(keys, list):
-            raise ProtocolError("CACHE_MGET keys must be a list")
-        self._count("round_trips", kind="cache_mget")
-        entries: Dict[str, object] = {}
-        estimate = 0
-        for key in keys:
-            key = str(key)
-            payload = (self.cell_cache.load(key)
-                       if self.cell_cache is not None else None)
-            if payload is not None:
-                self._count("cache_prefetch_hits")
-                estimate += len(json.dumps(payload, sort_keys=True,
-                                           separators=(",", ":")))
-            entries[key] = payload
-            estimate += len(key) + 16
-            if estimate >= _MGET_CHUNK_BYTES:
-                if not self._send(conn, {"type": "CACHE",
-                                         "entries": entries,
-                                         "eom": False}):
-                    return
-                entries, estimate = {}, 0
-        self._send(conn, {"type": "CACHE", "entries": entries,
-                          "eom": True})
 
     def _renew_holding(self, message: Dict, conn: _Conn,
                        table: LeaseTable) -> int:
@@ -659,26 +583,23 @@ class SocketWorkerBackend(ExecutionBackend):
             return None
         if verdict == "late":
             self._count("late_results")
-        cached = message.get("cached")
-        if cached == "local":
+        # workers only ever report their own --cache-dir hits; remote
+        # hits are the coordinator's, counted before any lease
+        cached = "local" if message.get("cached") == "local" else None
+        if cached:
             self._count_cache_hit("local")
-        elif cached == "remote":
-            # counted on the RESULT, not when answering CACHE_GET /
-            # CACHE_MGET: a prefetched key only becomes a *hit* when a
-            # lease is actually served from it, and duplicates have
-            # already been filtered above
-            self._count_cache_hit("remote")
-        if (self.cell_cache is not None and cached is None
-                and message.get("key")):
-            try:        # publish computed rows the worker didn't PUT
-                self.cell_cache.save(str(message["key"]),
-                                     message.get("payload"))
-            except (ValueError, OSError):
-                pass
         self._count("results")
         return TaskOutcome(task, payload=message.get("payload"),
                            snapshot=message.get("snapshot"),
                            cached=cached)
+
+    def _publish(self, key: str, payload) -> None:
+        """Save one worker-returned payload under its coordinator-side key."""
+        try:
+            self.cell_cache.save(key, payload)
+            self._count("cache_publishes")
+        except OSError:
+            pass        # disk trouble: the cache is advisory
 
     def _send(self, conn: _Conn, message: Dict) -> bool:
         try:
@@ -707,26 +628,32 @@ class SocketWorkerBackend(ExecutionBackend):
         env.setdefault(CONNECT_BUDGET_ENV, f"{self.connect_budget_s:g}")
         host, port = self.public_address
         for _ in range(n):
-            index = len(self._procs)
-            self._procs.append(subprocess.Popen(
+            worker_id = f"local-{os.getpid()}-{len(self._procs)}"
+            self._procs[worker_id] = subprocess.Popen(
                 [sys.executable, "-m", "repro.exp.worker",
                  "--connect", f"{host}:{port}",
-                 "--worker-id", f"local-{os.getpid()}-{index}"],
+                 "--worker-id", worker_id],
                 env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL))
+                stderr=subprocess.DEVNULL)
             self._count("workers_spawned")
 
     def _respawn_if_needed(self, conns: List[_Conn]) -> None:
-        alive = [p for p in self._procs if p.poll() is None]
+        alive = [p for p in self._procs.values() if p.poll() is None]
         budget = self.workers + 2
         if not alive and not conns and \
                 self.stats.get("workers_spawned", 0) < budget:
             self._spawn_workers(1)
 
-    def _reap_workers(self, kill: bool = False) -> None:
-        for proc in self._procs:
+    def _reap_workers(self, said_bye: Collection[str] = ()) -> None:
+        """Wait for spawned workers that got our BYE; kill the rest.
+
+        A worker that never completed HELLO (or lost its connection)
+        holds no lease and will never see a BYE, so waiting on it only
+        stalls the end of the sweep.
+        """
+        for worker_id, proc in self._procs.items():
             if proc.poll() is None:
-                if kill:
+                if worker_id not in said_bye:
                     proc.kill()
                 else:
                     try:
@@ -737,12 +664,14 @@ class SocketWorkerBackend(ExecutionBackend):
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 pass
-        self._procs = []
+        self._procs = {}
 
     #: pids of spawned workers (chaos tests SIGKILL these).
     @property
     def worker_pids(self) -> List[int]:
-        return [p.pid for p in self._procs if p.poll() is None]
+        # snapshot first: chaos tests read this from another thread
+        procs = list(self._procs.values())
+        return [p.pid for p in procs if p.poll() is None]
 
 
 def _lease_id_of(message: Dict) -> int:

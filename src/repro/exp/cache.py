@@ -50,8 +50,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: path (two processes are already distinguished by pid).
 _TMP_SEQ = itertools.count()
 
-#: Cell-cache keys arrive over the wire from workers and become file
-#: names; only a bare SHA-256 hex digest is ever a valid key.
+#: Cell-cache keys become file names; only a bare SHA-256 hex digest
+#: is ever a valid key.
 _KEY_RE = re.compile(r"\A[0-9a-f]{64}\Z")   # \Z: "$" would admit "...\n"
 
 
@@ -96,6 +96,35 @@ def _package_version() -> str:
     return repro.__version__
 
 
+def _active_specs() -> Tuple[Optional[str], Optional[str]]:
+    """The process-wide ``(fault spec, flow mode)`` in force."""
+    from ..faults.context import get_active_spec
+    from ..flow.context import get_flow_mode
+    return get_active_spec(), get_flow_mode()
+
+
+def _key(fields: Dict[str, Any], faults: Optional[str],
+         flow: Optional[str]) -> str:
+    """SHA-256 key shared by both caches: ``fields`` plus the package
+    version and source digest, folded with the fault spec and flow mode.
+
+    A fault spec changes what experiments measure, so it joins the key
+    — but only when one is set: clean keys (and every pre-existing
+    cache entry) are untouched.  Same for flow acceleration: ``auto``/
+    ``on`` produce shape-identical but not byte-identical numbers, so
+    they get their own keys, while ``off`` (and unset) IS packet mode
+    and shares the clean key.
+    """
+    payload = dict(fields, version=_package_version(),
+                   digest=source_digest(fields["exp_id"]))
+    if faults:
+        payload["faults"] = faults
+    if flow and flow != "off":
+        payload["flow"] = flow
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 class ResultCache:
     """Content-addressed experiment result cache rooted at ``root``."""
 
@@ -106,26 +135,8 @@ class ResultCache:
 
     # -- keys -----------------------------------------------------------
     def key(self, exp_id: str, quick: bool) -> str:
-        payload = {"exp_id": exp_id, "quick": bool(quick),
-                   "version": _package_version(),
-                   "digest": source_digest(exp_id)}
-        # A process-wide fault spec changes what experiments measure, so
-        # it becomes part of the key — but only when one is active:
-        # clean keys (and every pre-existing cache entry) are untouched.
-        from ..faults.context import get_active_spec
-        spec = get_active_spec()
-        if spec:
-            payload["faults"] = spec
-        # Same deal for flow-level acceleration: "auto"/"on" produce
-        # shape-identical but not byte-identical numbers, so they get
-        # their own keys; "off" (and unset) IS packet mode and must
-        # share the clean key.
-        from ..flow.context import get_flow_mode
-        flow_mode = get_flow_mode()
-        if flow_mode and flow_mode != "off":
-            payload["flow"] = flow_mode
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return _key({"exp_id": exp_id, "quick": bool(quick)},
+                    *_active_specs())
 
     def path(self, exp_id: str, quick: bool) -> Path:
         return self.root / f"{exp_id}-{self.key(exp_id, quick)[:16]}.json"
@@ -195,11 +206,11 @@ class CellCache:
     digest, active fault spec and flow mode — so the two caches
     invalidate together.
 
-    This is the store behind the remote-cache protocol: socket workers
-    ``CACHE_GET`` a digest before computing and ``CACHE_PUT`` what they
-    computed, the coordinator answers from (and publishes to) this
-    directory, and a row any worker computed is a hit for every other
-    worker of this and every later sweep.
+    This is the socket coordinator's cache: it looks up every task
+    (:meth:`key_for`) before leasing anything, serves hits without a
+    worker, and saves each payload a worker computes when its RESULT
+    arrives — so a row any worker computed is a hit for every later
+    sweep.  Workers never query it over the wire.
 
     The concurrency story is the same as :meth:`ResultCache.save`:
     private temp file, atomic rename, corrupted/torn entries read as a
@@ -213,19 +224,18 @@ class CellCache:
 
     # -- keys -----------------------------------------------------------
     def key(self, exp_id: str, quick: bool, index: Optional[int]) -> str:
-        payload = {"exp_id": exp_id, "quick": bool(quick),
-                   "index": index, "version": _package_version(),
-                   "digest": source_digest(exp_id)}
-        from ..faults.context import get_active_spec
-        spec = get_active_spec()
-        if spec:
-            payload["faults"] = spec
-        from ..flow.context import get_flow_mode
-        flow_mode = get_flow_mode()
-        if flow_mode and flow_mode != "off":
-            payload["flow"] = flow_mode
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        """The key under the process-wide fault spec and flow mode."""
+        return _key({"exp_id": exp_id, "quick": bool(quick),
+                     "index": index}, *_active_specs())
+
+    def key_for(self, task: Tuple[str, Optional[int]], ctx) -> str:
+        """The key of ``task`` under a run context's own ``quick``,
+        ``faults_spec`` and ``flow_mode`` — no ambient state, so a
+        coordinator can look up any sweep's cells without activating
+        its specs first."""
+        exp_id, index = task
+        return _key({"exp_id": exp_id, "quick": bool(ctx.quick),
+                     "index": index}, ctx.faults_spec, ctx.flow_mode)
 
     def path_of(self, key: str) -> Path:
         if not _KEY_RE.match(key):

@@ -359,10 +359,9 @@ class ChaosProxy:
     decisions) but treats bodies as opaque except for a best-effort
     ``"type"`` peek used by heartbeat delays and the event log.  The
     peek goes through :func:`~repro.exp.protocol.decode_body`, so
-    zlib-compressed bodies (the batched CACHE_MGET/MPUT fast path)
-    still produce typed events; corrupting one flips its magic byte
-    into garbage, which the receiver rejects fail-closed exactly like
-    corrupted JSON.
+    zlib-compressed bodies (large RESULT payloads) still produce typed
+    events; corrupting one flips its magic byte into garbage, which the
+    receiver rejects fail-closed exactly like corrupted JSON.
     """
 
     def __init__(self, plan: ChaosPlan, target: Tuple[str, int],

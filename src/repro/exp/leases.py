@@ -175,8 +175,8 @@ class LeaseTable:
         """Piggybacked liveness: renew ``worker``'s active leases.
 
         With lease pipelining a worker holds a *queue* of leases while
-        computing the head one, and RESULT/CACHE traffic for the head
-        proves the whole queue is alive — so those frames carry a
+        computing the head one, and RESULT traffic for the head proves
+        the whole queue is alive — so those frames carry a
         ``holding`` list and the coordinator renews exactly the listed
         leases (never leases of other workers: a confused or malicious
         peer cannot keep someone else's lease alive).  ``holding=None``

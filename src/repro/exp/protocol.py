@@ -10,22 +10,19 @@ type       direction   meaning
 ========== =========== ==================================================
 HELLO      worker→coord  join: protocol + package version + worker id
 WELCOME    coord→worker  run config (:class:`~repro.exp.planner.RunContext`
-                         wire form, slot, heartbeat/lease intervals,
-                         optional shard-prefetch task list)
+                         wire form, slot, heartbeat/lease intervals)
 LEASE      coord→worker  a task grant: lease id + task identity + attempt
 HEARTBEAT  worker→coord  lease renewal while a task is computing; may
                          carry ``"holding"`` (every lease id queued or
                          computing on this worker)
-CACHE_GET  worker→coord  query the shared content-addressed cell cache
-CACHE_MGET worker→coord  batched query: many keys in one round trip
-CACHE      coord→worker  cache answer (single ``key``/``payload``, or a
-                         batched ``entries`` map with an ``eom`` marker)
-CACHE_PUT  worker→coord  publish a computed payload under its digest
-CACHE_MPUT worker→coord  batched publish: ``entries`` maps key→payload
 RESULT     worker→coord  task outcome (payload/snapshot or error)
 BYE        both          orderly goodbye (coordinator: no more work; may
                          carry ``"error"`` explaining a rejection)
 ========== =========== ==================================================
+
+There is no cache traffic: the coordinator owns the shared cell cache,
+serves hits before leasing anything and saves each RESULT payload
+itself, so workers only compute.
 
 Compressed frames: a body whose first byte is ``0x00`` is
 :data:`COMPRESS_MAGIC` followed by a zlib stream of the canonical JSON.
@@ -67,12 +64,12 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
            "check_versions"]
 
 #: v2 added the ``version`` field to HELLO/WELCOME (mixed-version
-#: pairs now degrade cleanly instead of misparsing).  v3 added the
-#: batched cache frames (CACHE_MGET/CACHE_MPUT), lease pipelining
-#: fields (LEASE ``attempt``, piggybacked ``holding`` lists) and the
-#: zlib-compressed body encoding — a v2 peer would misparse all three,
-#: so the handshake rejects it.
-PROTOCOL_VERSION = 3
+#: pairs now degrade cleanly instead of misparsing).  v3 added lease
+#: pipelining fields (LEASE ``attempt``, piggybacked ``holding``
+#: lists) and the zlib-compressed body encoding.  v4 dropped the cache
+#: frames: a v3 worker would still query the coordinator's cache and
+#: wait on replies that never come, so the handshake rejects it.
+PROTOCOL_VERSION = 4
 
 #: Hard ceiling on one frame body.  Quick-grid payloads are a few KB;
 #: 16 MiB leaves room for full-sweep rows while making a garbage
@@ -90,9 +87,7 @@ COMPRESS_MIN = 8 * 1024
 COMPRESS_MAGIC = b"\x00"
 
 MESSAGE_TYPES = frozenset({
-    "HELLO", "WELCOME", "LEASE", "HEARTBEAT",
-    "CACHE_GET", "CACHE_MGET", "CACHE", "CACHE_PUT", "CACHE_MPUT",
-    "RESULT", "BYE",
+    "HELLO", "WELCOME", "LEASE", "HEARTBEAT", "RESULT", "BYE",
 })
 
 #: One malformed frame *body* per message type that :func:`decode_body`
@@ -101,18 +96,12 @@ MESSAGE_TYPES = frozenset({
 #: PAR307 lint rule statically checks that every MESSAGE_TYPES entry
 #: has a key here — so a new frame type cannot ship without a
 #: fail-closed decode test.  Each fixture is type-specific on purpose:
-#: a truncated JSON object naming the type, plus (for the batched
-#: cache frames) a compressed-magic body whose zlib stream is garbage.
+#: a truncated JSON object naming the type.
 FAIL_CLOSED_FIXTURES: Dict[str, bytes] = {
     "HELLO": b'{"type":"HELLO","proto":',
     "WELCOME": b'{"type":"WELCOME","ctx":{',
     "LEASE": b'{"type":"LEASE","lease":1',
     "HEARTBEAT": b'{"type":"HEARTBEAT","holding":[1,',
-    "CACHE_GET": b'{"type":"CACHE_GET","key":"',
-    "CACHE_MGET": b'\x00CACHE_MGET not a zlib stream',
-    "CACHE": b'{"type":"CACHE","entries":{',
-    "CACHE_PUT": b'{"type":"CACHE_PUT","payload":',
-    "CACHE_MPUT": b'\x00CACHE_MPUT not a zlib stream',
     "RESULT": b'{"type":"RESULT","lease":1,"payload":',
     "BYE": b'{"type":"BYE","error":"',
 }
@@ -125,10 +114,6 @@ FAIL_CLOSED_FIXTURES: Dict[str, bytes] = {
 VERSION_GATED_FIELDS: Dict[str, int] = {
     "holding": 3,    # HEARTBEAT/RESULT piggybacked lease ledger
     "attempt": 3,    # LEASE retry counter (pipelined grants)
-    "entries": 3,    # CACHE/CACHE_MPUT batched payload maps
-    "keys": 3,       # CACHE_MGET batched query list
-    "prefetch": 3,   # WELCOME shard-prefetch task list
-    "eom": 3,        # CACHE end-of-multiget marker
 }
 
 _LEN = struct.Struct(">I")

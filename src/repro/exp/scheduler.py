@@ -251,7 +251,7 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                              flow_mode=flow_mode, retries=retries,
                              backoff_s=backoff_s)
             tasks = build_tasks(to_run, quick)
-            preloaded: Dict[Task, Tuple[object, object]] = {}
+            done: Dict[Task, Tuple[object, object]] = {}
             if journaling:
                 if journal is None:
                     journal = RunJournal.create(
@@ -265,8 +265,8 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                         "tasks": [task_key(t) for t in tasks]})
                     maybe_crash("journal.plan")
                 else:
-                    preloaded = _preload_from_journal(journal, tasks,
-                                                      parent_registry)
+                    done = _preload_from_journal(journal, tasks,
+                                                 parent_registry)
             if isinstance(backend, ExecutionBackend):
                 exec_backend, owned = backend, False
             else:
@@ -282,16 +282,17 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
             try:
                 try:
                     _run_backend(exec_backend, to_run, quick, tasks,
-                                 preloaded, results, cache, ctx,
+                                 done, results, cache, ctx,
                                  parent_registry, keep_going, failed,
                                  journal)
                 except NoWorkersError as exc:
                     if not (owned and isinstance(exec_backend,
                                                  SocketWorkerBackend)):
                         raise
-                    # graceful degradation: no worker ever joined (and
-                    # no outcome was produced), so the local pool can
-                    # finish the sweep without double execution
+                    # graceful degradation: no worker ever joined (the
+                    # only outcomes were cache hits, already in
+                    # ``done``), so the local pool can finish the sweep
+                    # without double execution
                     print(f"repro: {exc}; falling back to the local "
                           f"backend", file=sys.stderr)
                     if parent_registry is not None:
@@ -305,7 +306,7 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                         fallback.attach_journal(journal)
                     try:
                         _run_backend(fallback, to_run, quick, tasks,
-                                     preloaded, results, cache, ctx,
+                                     done, results, cache, ctx,
                                      parent_registry, keep_going, failed,
                                      journal)
                     finally:
@@ -382,7 +383,7 @@ def _run_serial(to_run: Sequence[str], quick: bool,
 
 def _run_backend(exec_backend: ExecutionBackend, to_run: Sequence[str],
                  quick: bool, tasks: List[Task],
-                 preloaded: Dict[Task, Tuple[object, object]],
+                 done: Dict[Task, Tuple[object, object]],
                  results: Dict[str, ExperimentResult],
                  cache: Optional[ResultCache], ctx: RunContext,
                  parent_registry, keep_going: bool,
@@ -392,13 +393,15 @@ def _run_backend(exec_backend: ExecutionBackend, to_run: Sequence[str],
 
     The backend may yield outcomes in any order; experiments finalize
     (and cache) incrementally as soon as all of their tasks are in.
-    Planned-only outcomes (dry run) finalize nothing.  ``preloaded``
-    results (adopted from a resumed journal) count as already done and
-    are never re-executed; every fresh payload is journaled (cell saved,
-    then the result record appended) *before* finalization, so a crash
-    between the two re-finalizes from the journal instead of re-running.
+    Planned-only outcomes (dry run) finalize nothing.  Tasks already in
+    ``done`` (adopted from a resumed journal) are never re-executed, and
+    ``done`` is filled in place with every fresh outcome — so a fallback
+    run after :class:`NoWorkersError` skips the cache hits the failed
+    backend already yielded.  Every fresh payload is journaled (cell
+    saved, then the result record appended) *before* finalization, so a
+    crash between the two re-finalizes from the journal instead of
+    re-running.
     """
-    done: Dict[Task, Tuple[object, object]] = dict(preloaded)
     errors: Dict[Task, BaseException] = {}
     attempts: Dict[Task, int] = {}
     if done:

@@ -15,18 +15,13 @@ of leases is in flight at once), so the worker keeps a local queue:
 frames arriving while a task computes are filed, and the next task
 starts without waiting for a fresh grant.
 
-Cache traffic is batched.  When the WELCOME announces the worker's
-shard, every shard key is prefetched up front in chunked CACHE_MGET
-round trips — the per-cell blocking CACHE_GET only survives for
-*reassigned* leases (``attempt > 1``), where another worker may have
-published the row between its crash and our grant (and as the
-fallback when prefetch is disabled).  Computed payloads are published
-in batched CACHE_MPUT frames flushed **before** the batch's RESULTs,
-preserving the publish-then-report ordering the crash-window tests
-pin.  A worker given ``--cache-dir`` also consults and fills its own
-local cache.
+Workers only compute.  The coordinator owns the shared cell cache: it
+serves hits before leasing anything and saves each payload when its
+RESULT arrives, so no cache query ever crosses the wire.  A worker
+given ``--cache-dir`` still consults and fills its own local cache
+(a hit is reported as a RESULT with ``cached="local"``).
 
-Liveness is piggybacked: every outgoing result/cache frame carries
+Liveness is piggybacked: every outgoing RESULT carries
 ``holding`` — the lease ids queued or computing here — and the
 coordinator renews exactly those.  A single session-wide heartbeat
 thread covers the quiet stretches (long computes), staying silent
@@ -54,15 +49,9 @@ operation carries a timeout.
 Exit codes: 0 clean (BYE / coordinator EOF), 1 connect budget
 exhausted, 2 fatal protocol rejection (version mismatch / BYE error).
 
-Chaos hooks (used by the conformance wall, harmless otherwise):
-
-* ``REPRO_EXP_TASK_SLEEP_S`` — sleep this long inside each lease
-  before computing, widening the mid-lease window tests SIGKILL into;
-* ``REPRO_EXP_DIE_AFTER_PUT`` — a marker-file path; the first worker
-  to claim it (atomically, ``O_EXCL``) calls ``os._exit`` right
-  between publishing a payload to the cache and sending its RESULT —
-  the exact crash window the lease layer must absorb.  Exactly one
-  worker across the fleet dies.
+Chaos hook (used by the conformance wall, harmless otherwise):
+``REPRO_EXP_TASK_SLEEP_S`` — sleep this long inside each lease before
+computing, widening the mid-lease window tests SIGKILL into.
 """
 
 from __future__ import annotations
@@ -78,8 +67,8 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..sim.rng import RngRegistry
-from .cache import DEFAULT_CACHE_DIR, CellCache
-from .planner import RunContext, run_task, task_key
+from .cache import CellCache
+from .planner import RunContext, Task, run_task, task_key
 from .protocol import (PROTOCOL_VERSION, ProtocolError, VersionMismatchError,
                        check_versions, package_version, recv_frame,
                        send_frame)
@@ -87,7 +76,6 @@ from .protocol import (PROTOCOL_VERSION, ProtocolError, VersionMismatchError,
 __all__ = ["serve", "main", "CONNECT_BUDGET_ENV", "DEFAULT_CONNECT_BUDGET_S"]
 
 TASK_SLEEP_ENV = "REPRO_EXP_TASK_SLEEP_S"
-DIE_AFTER_PUT_ENV = "REPRO_EXP_DIE_AFTER_PUT"
 
 #: Default ceiling on continuous time without a successful handshake.
 CONNECT_BUDGET_ENV = "REPRO_EXP_CONNECT_BUDGET_S"
@@ -96,14 +84,6 @@ DEFAULT_CONNECT_BUDGET_S = 60.0
 #: Backoff shape: 50 ms doubling to a 2 s cap, times jitter in [0.5, 1.5).
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 2.0
-
-#: Keys per CACHE_MGET chunk during the WELCOME-time prefetch.
-_MGET_BATCH = 64
-
-#: Publish/report sub-batch: with a drained queue results go out
-#: immediately (exactly the old per-lease pattern); with a deep
-#: pipeline up to this many results amortise one CACHE_MPUT flush.
-_PUT_BATCH = 4
 
 
 def _monotonic() -> float:
@@ -124,19 +104,6 @@ def _chaos_sleep_s() -> float:
         return max(0.0, float(os.environ.get(TASK_SLEEP_ENV, "0")))
     except ValueError:
         return 0.0
-
-
-def _claim_chaos_death() -> bool:
-    """Atomically claim the DIE_AFTER_PUT marker file; ``True`` for the
-    single worker (fleet-wide) that should now crash."""
-    target = os.environ.get(DIE_AFTER_PUT_ENV)
-    if not target:
-        return False
-    try:
-        os.close(os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except OSError:
-        return False
-    return True
 
 
 class _Link:
@@ -186,7 +153,7 @@ class _SessionHeartbeat:
     interval it reports the full ``holding`` list, keeping *queued*
     leases alive while the head of the pipeline computes.  It stays
     silent whenever any frame went out within the last interval —
-    result/cache traffic piggybacks the same list, so a busy pipeline
+    RESULT traffic piggybacks the same list, so a busy pipeline
     heartbeats for free.
     """
 
@@ -222,18 +189,6 @@ class _SessionHeartbeat:
         self._thread.join(timeout=5)
 
 
-def _apply_context(ctx: RunContext):
-    """Arm the process-wide fault/flow context (cache keys and task
-    bodies must see the coordinator's spec, exactly like pool workers)."""
-    from ..faults.context import activated
-    from ..flow.context import activated as flow_activated
-    import contextlib
-    stack = contextlib.ExitStack()
-    stack.enter_context(activated(ctx.faults_spec))
-    stack.enter_context(flow_activated(ctx.flow_mode))
-    return stack
-
-
 class _FatalRejection(Exception):
     """The coordinator rejected us for a reason retrying cannot fix."""
 
@@ -251,7 +206,6 @@ def serve(connect: str, worker_id: Optional[str] = None,
         connect_budget_s = _default_connect_budget_s()
     jitter = RngRegistry().stream(f"worker-backoff:{worker_id}")
     local_cache = CellCache(cache_dir) if cache_dir else None
-    keyer = CellCache(cache_dir or DEFAULT_CACHE_DIR)   # key() is diskless
     deadline: Optional[float] = None    # armed while un-handshaken
     attempt = 0
     while True:
@@ -260,9 +214,9 @@ def serve(connect: str, worker_id: Optional[str] = None,
             try:
                 sock = socketlib.create_connection(address,
                                                    timeout=timeout_s)
-                # Result/cache batches are back-to-back small writes;
-                # without TCP_NODELAY, Nagle + delayed ACKs stall each
-                # flush ~40ms and erase the pipelining win.
+                # RESULTs are back-to-back small writes; without
+                # TCP_NODELAY, Nagle + delayed ACKs stall each one
+                # ~40ms and erase the pipelining win.
                 sock.setsockopt(socketlib.IPPROTO_TCP,
                                 socketlib.TCP_NODELAY, 1)
             except OSError as exc:
@@ -283,8 +237,8 @@ def serve(connect: str, worker_id: Optional[str] = None,
             deadline = _monotonic() + connect_budget_s
         welcomed = [False]      # set by _session once WELCOME checks out
         try:
-            outcome = _session(sock, worker_id, local_cache, keyer,
-                               deadline, welcomed)
+            outcome = _session(sock, worker_id, local_cache, deadline,
+                               welcomed)
         except _FatalRejection as exc:
             print(f"repro worker: rejected by coordinator: {exc}",
                   file=sys.stderr)
@@ -323,8 +277,8 @@ def serve(connect: str, worker_id: Optional[str] = None,
 
 
 def _session(sock: socketlib.socket, worker_id: str,
-             local_cache: Optional[CellCache], keyer: CellCache,
-             deadline: float, welcomed: Optional[List[bool]] = None) -> str:
+             local_cache: Optional[CellCache], deadline: float,
+             welcomed: Optional[List[bool]] = None) -> str:
     """One connection's worth of work.
 
     Returns ``"done"`` (orderly BYE/EOF), ``"retry"`` (no WELCOME
@@ -352,44 +306,38 @@ def _session(sock: socketlib.socket, worker_id: str,
     if welcomed is not None:
         welcomed[0] = True
     ctx = RunContext.from_wire(welcome.get("ctx", {}))
-    shared_cache = bool(welcome.get("cache"))
     heartbeat_s = float(welcome.get("heartbeat_s", 5.0))
-    cache_wait_s = max(heartbeat_s * 4, 1.0)
-    announce = welcome.get("prefetch")
-    prefetch_mode = isinstance(announce, list)
     pending: Deque[Dict] = deque()
-    with _apply_context(ctx):
-        with _SessionHeartbeat(link, heartbeat_s):
-            announced = _announced_keys(announce, keyer, ctx) \
-                if prefetch_mode else set()
-            prefetched: Dict[str, object] = {}
-            if shared_cache and announced:
-                prefetched = _prefetch(sock, link, pending,
-                                       sorted(announced), cache_wait_s)
-            while True:
-                if not pending:
-                    message = _recv_patiently(sock)
-                    status = _route(message, pending, link)
-                    if status is not None:
-                        return status
-                status = _drain_ready(sock, pending, link)
+    with _SessionHeartbeat(link, heartbeat_s):
+        while True:
+            if not pending:
+                status = _route(_recv_patiently(sock), pending, link)
                 if status is not None:
                     return status
-                _process_batch(sock, link, pending, ctx, shared_cache,
-                               prefetch_mode, announced, prefetched,
-                               local_cache, keyer, cache_wait_s)
+            # File every grant that arrived meanwhile before the next
+            # compute: each RESULT frees a credit the coordinator refills
+            # at once, and a LEASE left unread is in no ``holding`` list,
+            # so nothing would renew it while we compute.
+            status = _drain_ready(sock, pending, link)
+            if status is not None:
+                return status
+            lease = pending.popleft()
+            lease_id = int(lease["lease"])
+            task = (str(lease["exp_id"]), lease.get("index"))
+            frame = _serve_lease(link, lease_id, task, ctx, local_cache)
+            link.settle(lease_id)
+            link.send(frame)
 
 
-# repro-lint: disable=WIRE502 -- _route deliberately drops stray frames: late CACHE replies after a timeout are legal here, and the fail-closed arm lives one level up in _session
 def _route(message: Optional[Dict], pending: Deque[Dict],
            link: _Link) -> Optional[str]:
     """File one incoming frame; returns a session status when it ends
     the session, ``None`` when draining should continue.
 
     LEASE frames join the local queue (and the holding ledger, so the
-    heartbeat thread keeps them alive before they even start); stray
-    frames — e.g. a chaos-duplicated CACHE reply for a finished wait —
-    are dropped, never misfiled.
+    heartbeat thread keeps them alive before they even start).  After
+    WELCOME the coordinator sends nothing else but BYE, so any other
+    frame fails the connection closed.
     """
     if message is None:
         return "welcomed-retry"
@@ -402,7 +350,8 @@ def _route(message: Optional[Dict], pending: Deque[Dict],
     if mtype == "LEASE":
         pending.append(message)
         link.add_holding(int(message["lease"]))
-    return None
+        return None
+    raise ProtocolError(f"unexpected {mtype} from the coordinator")
 
 
 def _drain_ready(sock: socketlib.socket, pending: Deque[Dict],
@@ -421,141 +370,15 @@ def _drain_ready(sock: socketlib.socket, pending: Deque[Dict],
     return None
 
 
-def _announced_keys(announce, keyer: CellCache, ctx: RunContext) -> set:
-    """Cache keys for the WELCOME's shard announcement.
-
-    The set doubles as the "known at WELCOME time" ledger: a lease for
-    a key *outside* it (work stolen from another worker's shard) still
-    gets the blocking CACHE_GET fallback, since our prefetch never
-    asked about it.
-    """
-    if not isinstance(announce, list):
-        return set()
-    keys = set()
-    for entry in announce:
-        try:
-            exp_id, index = entry
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed prefetch entry {entry!r}") from exc
-        keys.add(keyer.key(str(exp_id), ctx.quick, index))
-    return keys
-
-
-def _prefetch(sock: socketlib.socket, link: _Link, pending: Deque[Dict],
-              keys: List[str], wait_s: float) -> Dict[str, object]:
-    """Warm a session-local cache with our shard's keys.
-
-    Chunked CACHE_MGET round trips replace what was one blocking
-    CACHE_GET per cell.  Replies are merged until the ``eom`` chunk;
-    an unanswered chunk (chaos can drop either frame) times out as
-    all-miss — the worker just computes those cells, byte-identically.
-    LEASE frames arriving mid-wait are queued, never lost.
-    """
-    found: Dict[str, object] = {}
-    for start in range(0, len(keys), _MGET_BATCH):
-        link.send({"type": "CACHE_MGET",
-                   "keys": keys[start:start + _MGET_BATCH]})
-        deadline = _monotonic() + wait_s
-        while _monotonic() < deadline:
-            try:
-                reply = recv_frame(sock)
-            except socketlib.timeout:
-                continue
-            if reply is None:
-                raise OSError("coordinator went away during CACHE_MGET")
-            if reply.get("type") == "CACHE" and "entries" in reply:
-                entries = reply.get("entries")
-                if isinstance(entries, dict):
-                    for key, payload in entries.items():
-                        if payload is not None:
-                            found[str(key)] = payload
-                if reply.get("eom", True):
-                    break
-                continue
-            if _route(reply, pending, link) is not None:
-                raise OSError("coordinator ended session during "
-                              "CACHE_MGET")
-    return found
-
-
-def _process_batch(sock: socketlib.socket, link: _Link,
-                   pending: Deque[Dict], ctx: RunContext,
-                   shared_cache: bool, prefetch_mode: bool,
-                   announced: set, prefetched: Dict[str, object],
-                   local_cache: Optional[CellCache], keyer: CellCache,
-                   cache_wait_s: float) -> None:
-    """Drain the local lease queue, batching publishes and results.
-
-    Per lease, in order: the session prefetch map (a "remote" hit),
-    the local disk cache (a "local" hit, republished), a blocking
-    CACHE_GET only when this is a *reassigned* lease (``attempt > 1``
-    — the previous holder may have published right before dying; the
-    crash-window test pins this), when the key was never in our
-    prefetch announcement (a lease stolen from another worker's
-    shard), or when prefetch is off entirely, and finally a real
-    compute.  Computed and locally-loaded payloads
-    accumulate into one CACHE_MPUT flushed **before** their RESULTs —
-    the publish-then-report order (and the DIE_AFTER_PUT crash window
-    between the two) is exactly the single-frame protocol's.  With an
-    empty queue the flush is per-lease, i.e. the old wire pattern.
-    """
-    puts: Dict[str, object] = {}
-    computed = False
-    results: List[Dict] = []
-
-    def flush() -> None:
-        nonlocal puts, computed, results
-        if puts:
-            link.send({"type": "CACHE_MPUT", "entries": puts})
-            if computed and _claim_chaos_death():
-                # chaos hook: die in the exact window between
-                # publishing to the cache and reporting the RESULT
-                os._exit(17)
-        for frame in results:
-            link.settle(int(frame["lease"]))
-            link.send(frame)
-        puts, computed, results = {}, False, []
-
-    while pending:
-        message = pending.popleft()
-        lease_id = int(message["lease"])
-        task = (str(message["exp_id"]), message.get("index"))
-        attempt = int(message.get("attempt", 1))
-        key = keyer.key(task[0], ctx.quick, task[1])
-        payload = prefetched.get(key)
+def _serve_lease(link: _Link, lease_id: int, task: Task, ctx: RunContext,
+                 local_cache: Optional[CellCache]) -> Dict:
+    """One lease's RESULT frame: a local-cache hit, or a compute."""
+    key = None
+    if local_cache is not None:
+        key = local_cache.key_for(task, ctx)
+        payload = local_cache.load(key)
         if payload is not None:
-            results.append(_result_frame(lease_id, payload=payload,
-                                         cached="remote"))
-        elif (local_cache is not None
-                and (payload := local_cache.load(key)) is not None):
-            if shared_cache:
-                puts[key] = payload
-            results.append(_result_frame(lease_id, payload=payload,
-                                         cached="local"))
-        else:
-            remote = None
-            if shared_cache and (attempt > 1 or not prefetch_mode
-                                 or key not in announced):
-                remote = _cache_get(sock, link, pending, key,
-                                    cache_wait_s)
-            if remote is not None:
-                results.append(_result_frame(lease_id, payload=remote,
-                                             cached="remote"))
-            else:
-                results.append(_compute(link, lease_id, task, key, ctx,
-                                        shared_cache, local_cache, puts))
-                if shared_cache and key in puts:
-                    computed = True
-        if not pending or len(results) >= _PUT_BATCH:
-            flush()
-    flush()
-
-
-def _compute(link: _Link, lease_id: int, task, key: str, ctx: RunContext,
-             shared_cache: bool, local_cache: Optional[CellCache],
-             puts: Dict[str, object]) -> Dict:
-    """Run one task body; returns its RESULT frame (error or payload)."""
+            return _result_frame(lease_id, payload=payload, cached="local")
     with link.lock:
         link.current = lease_id
     try:
@@ -563,60 +386,27 @@ def _compute(link: _Link, lease_id: int, task, key: str, ctx: RunContext,
         if sleep_s:
             time.sleep(sleep_s)
         try:
-            payload, snapshot = run_task(tuple(task), ctx)
+            payload, snapshot = run_task(task, ctx)
         except BaseException as exc:    # the coordinator judges retries
             return _result_frame(lease_id,
-                                 error=f"{task_key(tuple(task))}: {exc!r}")
+                                 error=f"{task_key(task)}: {exc!r}")
     finally:
         with link.lock:
             if link.current == lease_id:
                 link.current = None
-    if local_cache is not None:
+    if key is not None:
         try:
             local_cache.save(key, payload)
         except OSError:
             pass
-    if shared_cache:
-        puts[key] = payload
-        return _result_frame(lease_id, payload=payload,
-                             snapshot=snapshot, key=key)
     return _result_frame(lease_id, payload=payload, snapshot=snapshot)
 
 
 def _result_frame(lease_id: int, payload=None, snapshot=None,
                   cached: Optional[str] = None,
-                  error: Optional[str] = None,
-                  key: Optional[str] = None) -> Dict:
-    frame = {"type": "RESULT", "lease": lease_id, "payload": payload,
-             "snapshot": snapshot, "cached": cached, "error": error}
-    if key is not None:
-        frame["key"] = key      # lets the coordinator publish even if
-    return frame                # the CACHE_MPUT was lost on the wire
-
-
-def _cache_get(sock, link: _Link, pending: Deque[Dict], key: str,
-               wait_s: float):
-    """Ask the shared cache for ``key``; bounded wait, miss on timeout.
-
-    Under chaos the CACHE reply can be dropped on the wire — waiting
-    forever would wedge the lease past its deadline, so after ``wait_s``
-    the worker treats the query as a miss and computes locally (the
-    result is identical either way; only effort differs).  LEASE
-    frames arriving mid-wait are queued, never lost."""
-    link.send({"type": "CACHE_GET", "key": key})
-    deadline = _monotonic() + wait_s
-    while _monotonic() < deadline:
-        try:
-            reply = recv_frame(sock)
-        except socketlib.timeout:
-            continue
-        if reply is None:
-            raise OSError("coordinator went away during CACHE_GET")
-        if reply.get("type") == "CACHE" and reply.get("key") == key:
-            return reply.get("payload")
-        if _route(reply, pending, link) is not None:
-            raise OSError("coordinator ended session during CACHE_GET")
-    return None
+                  error: Optional[str] = None) -> Dict:
+    return {"type": "RESULT", "lease": lease_id, "payload": payload,
+            "snapshot": snapshot, "cached": cached, "error": error}
 
 
 def _recv_within(sock, deadline: float) -> Optional[Dict]:

@@ -1,6 +1,6 @@
 """WIRE — wire-protocol conformance rules.
 
-The distributed harness speaks an 11-frame-type versioned protocol
+The distributed harness speaks a 6-frame-type versioned protocol
 (``repro/exp/protocol.py``); the coordinator
 (``repro/exp/backends/socket.py``) and the worker
 (``repro/exp/worker.py``) each implement one side of the frame state

@@ -39,9 +39,9 @@ from hypothesis import strategies as st
 
 from repro.core import registry
 from repro.exp import (BACKENDS, CellCache, DryRunBackend, ExecutionBackend,
-                       LocalPoolBackend, ResultCache, SocketWorkerBackend,
-                       TaskOutcome, create_backend, run_experiments,
-                       write_jsonl)
+                       LocalPoolBackend, NoWorkersError, ResultCache,
+                       SocketWorkerBackend, TaskOutcome, create_backend,
+                       run_experiments, write_jsonl)
 from repro.exp.leases import LeaseTable
 from repro.exp.planner import (RunContext, build_tasks, plan_shards,
                                run_task, shard_of, task_key)
@@ -707,34 +707,13 @@ def test_duplicate_result_and_stale_heartbeat_converge(monkeypatch,
     assert backend.stats.get("stale_heartbeats", 0) >= 1
 
 
-def test_worker_killed_between_cache_put_and_result(tmp_path, monkeypatch,
-                                                    serial_bytes):
-    """The crash window between publishing to the shared cache and
-    reporting the RESULT: the reassigned worker finds the payload in
-    the remote cache and the sweep converges to one identical store."""
-    marker = tmp_path / "die-once"
-    monkeypatch.setenv("REPRO_EXP_DIE_AFTER_PUT", str(marker))
-    backend = SocketWorkerBackend(workers=2, spawn=True,
-                                  lease_timeout_s=15.0,
-                                  cache_dir=str(tmp_path / "cells"))
-    try:
-        got = run_experiments(SUBSET, quick=True, backend=backend,
-                              retries=0)
-    finally:
-        backend.close()
-    assert marker.exists(), "no worker hit the crash window"
-    _assert_identical(got, serial_bytes)
-    assert (backend.stats.get("reassignments_death", 0)
-            + backend.stats.get("reassignments_expiry", 0)) >= 1
-    assert backend.stats.get("cache_hits_remote", 0) >= 1
-
-
 # -- the remote cell cache ---------------------------------------------------
 
 def test_remote_cache_hits_propagate_and_are_observable(tmp_path,
                                                         serial_bytes):
-    """Sweep 2 over the same cell-cache dir is served entirely from
-    CACHE_GET, and the hits surface as repro.obs counters."""
+    """Sweep 2 over the same cell-cache dir is served entirely from the
+    coordinator's cache — no lease, no worker — and the hits surface as
+    repro.obs counters."""
     from repro.obs import MetricsRegistry, use_registry
     cells = str(tmp_path / "cells")
     backend = SocketWorkerBackend(workers=2, spawn=True,
@@ -758,8 +737,113 @@ def test_remote_cache_hits_propagate_and_are_observable(tmp_path,
     counter = reg.get("exp", "cache_hits", backend="socket", where="remote")
     assert counter is not None, "hits did not surface in the registry"
     assert counter.value == 5
-    leases = reg.get("exp", "leases_issued", backend="socket")
-    assert leases is not None and leases.value >= 5
+    assert backend2.stats.get("leases_issued", 0) == 0
+    assert backend2.stats.get("workers_spawned", 0) == 0
+    assert reg.get("exp", "leases_issued", backend="socket") is None
+
+
+def test_cold_sweep_saves_each_computed_cell_once(tmp_path, monkeypatch,
+                                                 serial_bytes):
+    """The coordinator saves every computed payload exactly once, when
+    its RESULT arrives; the warm re-run saves nothing and never leases."""
+    saves = []
+    real_save = CellCache.save
+    monkeypatch.setattr(CellCache, "save", lambda self, key, payload: (
+        saves.append(key), real_save(self, key, payload))[1])
+    cells = str(tmp_path / "cells")
+    for sweep in ("cold", "warm"):
+        backend = SocketWorkerBackend(workers=2, spawn=False,
+                                      lease_timeout_s=15.0,
+                                      cache_dir=cells)
+        try:
+            with thread_workers(backend.address,
+                                2 if sweep == "cold" else 0):
+                got = run_experiments(SUBSET, quick=True, backend=backend)
+        finally:
+            backend.close()
+        _assert_identical(got, serial_bytes)
+        if sweep == "cold":
+            assert len(saves) == len(set(saves)) == 5
+            assert backend.stats.get("cache_publishes", 0) == 5
+    assert len(saves) == 5
+    assert backend.stats.get("cache_hits_remote", 0) == 5
+    assert backend.stats.get("leases_issued", 0) == 0
+    assert backend.stats.get("workers_joined", 0) == 0
+
+
+def test_run_tasks_keys_lookups_by_context_not_ambient_state(tmp_path):
+    """Coordinator lookups derive keys from the sweep's RunContext: a
+    faults/flow run's entries are hits for the same context with no
+    spec activated, and misses for a clean one."""
+    from repro.faults.context import get_active_spec
+    from repro.flow.context import get_flow_mode
+    cells = str(tmp_path / "cells")
+    ids = ["table1", "fig04a"]
+    spec = "loss=0.01,seed=3"
+    backend = SocketWorkerBackend(workers=1, spawn=False,
+                                  lease_timeout_s=15.0, cache_dir=cells)
+    try:
+        with thread_workers(backend.address, 1):
+            written = run_experiments(ids, quick=True, backend=backend,
+                                      faults_spec=spec, flow_mode="auto")
+    finally:
+        backend.close()
+    assert get_active_spec() is None and get_flow_mode() is None
+    tasks = build_tasks(ids, quick=True)
+    faulted = RunContext(quick=True, faults_spec=spec, flow_mode="auto")
+    reader = SocketWorkerBackend(workers=1, spawn=False, cache_dir=cells,
+                                 connect_budget_s=0.3)
+    try:
+        hits = list(reader.run_tasks(tasks, faulted))
+        assert sorted(o.task for o in hits) == sorted(tasks)
+        assert all(o.cached == "remote" for o in hits)
+        by_task = {o.task: o.payload for o in hits}
+        assert by_task[("table1", None)] == written[0].to_json()
+        clean = []
+        with pytest.raises(NoWorkersError):
+            for outcome in reader.run_tasks(tasks, CTX):
+                clean.append(outcome)
+        assert clean == []
+    finally:
+        reader.close()
+    assert reader.stats.get("cache_hits_remote", 0) == len(tasks)
+
+
+def test_unjoined_spawned_worker_is_killed_not_awaited():
+    """A sweep that settles before a spawned worker completes HELLO
+    kills that worker instead of waiting 5 s for it to exit: it holds
+    no lease and will never see a BYE.  The second worker is stopped
+    right after spawn, so it cannot join in time."""
+    backend = SocketWorkerBackend(workers=2, spawn=True,
+                                  lease_timeout_s=15.0)
+    stopped = []
+
+    def stop_second_worker():
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not stopped:
+            pids = backend.worker_pids
+            if len(pids) >= 2:
+                os.kill(pids[1], signal.SIGSTOP)
+                stopped.append(pids[1])
+            time.sleep(0.001)
+
+    thread = threading.Thread(target=stop_second_worker, daemon=True)
+    thread.start()
+    try:
+        outcomes = backend.run_tasks([("table1", None)], CTX)
+        first = next(outcomes)
+        settled = time.monotonic()
+        rest = list(outcomes)
+        backend.close()
+        tail_s = time.monotonic() - settled
+    finally:
+        backend.close()
+        thread.join(timeout=10)
+    assert stopped, "the second worker was never spawned"
+    assert first.error is None and rest == []
+    assert backend.stats.get("workers_joined", 0) == 1
+    assert backend.worker_pids == []
+    assert tail_s < 2.5, f"run_tasks + close() took {tail_s:.1f}s to end"
 
 
 # -- scheduler assembly: order, errors, keep_going ---------------------------

@@ -20,6 +20,7 @@ import repro
 from repro.core.registry import ExperimentResult
 from repro.exp import CellCache, ResultCache, run_experiments, source_digest
 from repro.exp import cache as cache_mod
+from repro.exp.planner import RunContext
 from repro.faults.context import activated
 from repro.flow.context import activated as flow_activated
 
@@ -127,6 +128,45 @@ def test_active_fault_spec_changes_key(cache):
         with activated("loss=0.2,seed=1"):
             assert cache.key("table1", True) != faulted
     assert cache.key("table1", True) == clean
+
+
+def test_key_hex_is_pinned(monkeypatch, tmp_path):
+    """The folding of version, source digest, fault spec and flow mode
+    into a key is frozen byte for byte: a refactor that changed it
+    would silently orphan every existing ``.repro-cache`` entry.  The
+    version and digest are stubbed so experiment edits cannot move the
+    pin — only the folding itself can."""
+    monkeypatch.setattr(cache_mod, "_package_version", lambda: "1.0.0")
+    monkeypatch.setattr(cache_mod, "source_digest", lambda exp_id: "0" * 64)
+    results, cells = ResultCache(tmp_path), CellCache(tmp_path)
+    assert cells.key("fig04a", True, 2) == (
+        "3c4c5ac117dd15d4144db77fbe7059ce6808fa04a8b892322222b836eb1adcfc")
+    assert results.key("table1", True) == (
+        "49e18c5156298624570db05adb3a09946f57d90be9e8b2edcbef49360f374ba0")
+    with activated("loss=0.1,seed=1"), flow_activated("auto"):
+        assert cells.key("fig04a", True, 2) == (
+            "1460034d3afee5f1435e30b5dc204825"
+            "fba74f1c062a3d49fc8d698740d8a455")
+        assert results.key("table1", True) == (
+            "e1764b6c6a58538b22913d3844547906"
+            "b9f69f18f97f83180a90e0f119788ecf")
+
+
+def test_cell_key_for_context_matches_ambient_key(tmp_path):
+    """``key_for`` derives the key from a run context alone and agrees
+    with the ambient key under the same specs; ``flow_mode="off"``
+    shares the clean key."""
+    cells = CellCache(tmp_path)
+    faulted = RunContext(quick=True, faults_spec="loss=0.1,seed=1",
+                         flow_mode="auto")
+    with activated("loss=0.1,seed=1"), flow_activated("auto"):
+        ambient = cells.key("fig04a", True, 2)
+    assert cells.key_for(("fig04a", 2), faulted) == ambient
+    assert cells.key_for(("fig04a", 2), RunContext(quick=True)) == \
+        cells.key("fig04a", True, 2) != ambient
+    assert cells.key_for(("fig04a", 2),
+                         RunContext(quick=True, flow_mode="off")) == \
+        cells.key("fig04a", True, 2)
 
 
 def test_clean_entry_not_served_under_fault_spec(cache, warm):
@@ -249,7 +289,7 @@ def test_cell_key_ingredients(cells):
     "0" * 64 + "\n",
 ])
 def test_cell_wire_keys_are_validated(cells, evil):
-    """Keys arrive over the wire; anything but a bare SHA-256 hex digest
+    """Keys become file names; anything but a bare SHA-256 hex digest
     is rejected (load: silent miss, save: ValueError) — never a path."""
     with pytest.raises(ValueError):
         cells.path_of(evil)

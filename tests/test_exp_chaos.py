@@ -25,12 +25,12 @@ import time
 
 import pytest
 
-from repro.exp import run_experiments
+from repro.exp import CellCache, run_experiments
 from repro.exp.backends import SocketWorkerBackend
 from repro.exp.chaos import (ChaosError, ChaosPlan, FrameInjector,
                              ResetInjected, maybe_crash,
                              reset_crash_counts)
-from repro.exp.planner import RunContext
+from repro.exp.planner import RunContext, run_task
 from repro.exp.protocol import (PROTOCOL_VERSION, package_version,
                                 recv_frame, send_frame)
 from repro.exp.worker import serve
@@ -232,26 +232,27 @@ def test_probabilistic_chaos_is_byte_identical(seed, serial_bytes):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chaos_over_pipelined_batched_cache_frames(seed, tmp_path,
                                                    serial_bytes):
-    """The batched protocol under fire: a deep credit window plus
-    CACHE_MGET prefetch and CACHE_MPUT publishes, with frames dropped,
-    duplicated, reordered and corrupted.  Sweep 1 populates the shared
-    cell cache through chaos; sweep 2 is served from it through chaos.
-    Both must match the serial store byte for byte — a lost MGET reply
-    degrades to recompute, a corrupted MPUT fails the connection
-    closed, never the store."""
+    """A deep credit window under fire, then a warm re-run.  Sweep 1
+    fills the coordinator's cell cache through a proxy that drops,
+    duplicates, reorders and corrupts frames (``pipeline=4``); sweep 2
+    under the same seed is served entirely from that cache — zero
+    leases, so no worker is started for it and the proxy carries
+    nothing.  Both must match the serial store byte for byte."""
     spec = f"drop=0.05,dup=0.05,reorder=0.08,corrupt=0.02,seed={seed}"
     cells = str(tmp_path / "cells")
-    for _sweep in range(2):
+    for workers in (2, 0):
         backend = SocketWorkerBackend(workers=2, spawn=False,
                                       lease_timeout_s=5.0, chaos=spec,
                                       cache_dir=cells, pipeline=4)
         try:
-            with thread_workers(backend.public_address, 2):
+            with thread_workers(backend.public_address, workers):
                 results = run_experiments(SUBSET, quick=True,
                                           backend=backend)
         finally:
             backend.close()
         _assert_identical(results, serial_bytes)
+    assert backend.stats.get("leases_issued", 0) == 0
+    assert backend.stats.get("cache_hits_remote", 0) == 5
 
 
 # Targeted scenarios need parameters the fault can't livelock: resets
@@ -424,3 +425,25 @@ def test_no_workers_falls_back_to_local(serial_bytes, capsys):
     assert "falling back to the local backend" in err
     fallback = reg.get("exp", "backend_fallbacks", wanted="socket")
     assert fallback is not None and fallback.value == 1
+
+
+def test_fallback_after_cache_hits_runs_only_the_misses(tmp_path,
+                                                       serial_bytes):
+    """The coordinator yields its cache hits before it waits for
+    workers; when none joins, the local fallback runs only the misses
+    (the three fig04a cells), never the two whole experiments the
+    socket backend already served."""
+    cells = CellCache(tmp_path)
+    ctx = RunContext(quick=True)
+    for task in (("table1", None), ("fig13b", None)):
+        cells.save(cells.key_for(task, ctx), run_task(task, ctx)[0])
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        results = run_experiments(SUBSET, quick=True, backend="socket",
+                                  listen="127.0.0.1:0",
+                                  connect_budget_s=1.0,
+                                  cell_cache_dir=str(tmp_path))
+    _assert_identical(results, serial_bytes)
+    hits = reg.get("exp", "cache_hits", backend="socket", where="remote")
+    assert hits is not None and hits.value == 2
+    assert reg.get("exp", "leases_issued", backend="local").value == 3

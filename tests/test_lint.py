@@ -363,7 +363,7 @@ def test_deleting_a_coordinator_handler_breaks_the_gate(tmp_path):
 
 
 def test_deleting_a_worker_handler_breaks_the_gate(tmp_path):
-    """Acceptance criterion, worker side: removing the CACHE handler
+    """Acceptance criterion, worker side: removing the LEASE handler
     from worker.py trips WIRE501 on the coordinator's sends."""
     exp = tmp_path / "repro" / "exp"
     (exp / "backends").mkdir(parents=True)
@@ -373,9 +373,9 @@ def test_deleting_a_worker_handler_breaks_the_gate(tmp_path):
     (exp / "backends" / "socket.py").write_text(
         (real / "backends" / "socket.py").read_text())
     worker = (real / "worker.py").read_text()
-    assert '== "CACHE"' in worker
+    assert '== "LEASE"' in worker
     (exp / "worker.py").write_text(
-        worker.replace('== "CACHE"', '== "CACHE_X"'))
+        worker.replace('== "LEASE"', '== "LEASE_X"'))
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", str(tmp_path)],
         capture_output=True, text=True, cwd=tmp_path,
