@@ -10,18 +10,14 @@ frames pipeline exactly as on a real wire.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Optional, Protocol
 
-from ..sim import URGENT, PriorityStore, ReusableTimeout, Simulator
+from ..sim import Simulator
 from .packet import Frame
 
 __all__ = ["Link", "LinkEndpoint", "CUT_THROUGH_BYTES"]
-
-#: Kill switch for the pump's direct-continue inner loop, flipped only
-#: by :func:`repro.sim._legacy.legacy_dispatch` so benchmarks and the
-#: equivalence tests can measure the pre-fast-path behaviour.
-_FAST_PUMP = True
 
 #: Bytes a cut-through device latches before forwarding (one IB MTU
 #: packet + headers).  Endpoints with a truthy ``cut_through`` attribute
@@ -40,7 +36,13 @@ class LinkEndpoint(Protocol):
 
 
 class _HalfLink:
-    """One direction of a link: FIFO queue -> serialization -> delivery."""
+    """One direction of a link: priority queue -> serialization -> delivery.
+
+    The half-link owns its queue.  :meth:`put` on an idle wire starts
+    serializing the frame in place; a busy wire heaps the frame and
+    takes the next one itself when the current one finishes — no
+    intermediate store, no wake-up event.
+    """
 
     def __init__(self, sim: Simulator, rate: float, delay_us: float,
                  name: str):
@@ -70,9 +72,12 @@ class _HalfLink:
         self._min_next_delivery = 0.0
         self.name = name
         # Weighted arbitration: control frames (priority 0) overtake
-        # queued bulk data, approximating per-packet interleaving.
-        self.queue: PriorityStore = PriorityStore(sim)
+        # queued bulk data, approximating per-packet interleaving.  A
+        # heap of ``(priority, seq, frame, enqueued_at)`` entries.
+        self.queue: list = []
         self._seq = itertools.count()
+        #: True while a frame occupies the wire.
+        self._busy = False
         self.endpoint: Optional[LinkEndpoint] = None
         self.parent: Optional["Link"] = None
         self.bytes_carried = 0
@@ -86,63 +91,41 @@ class _HalfLink:
         else:
             self._m_bytes = self._m_frames = None
             self._m_busy_us = self._m_qdelay = None
-        #: Mode selection, fixed at construction: with no metrics
-        #: registry attached the pump runs as a callback state machine
-        #: (:meth:`_next_frame` / :meth:`_on_entry` / :meth:`_finish`)
-        #: that produces the exact event trajectory of the generator —
-        #: one URGENT kick-off pop, one StoreGet pop and one
-        #: serialization pop per frame, at identical ``(time, priority,
-        #: seq)`` keys — without any generator resumes.  With metrics
-        #: the generator runs so queue-depth gauges, per-process resume
-        #: counters and queue-delay histograms keep their exact
-        #: historical trajectories.
-        self._fast = _FAST_PUMP and m is None
-        self._ser_wait = ReusableTimeout(sim)
-        if self._fast:
-            # Same heap key as Process.__init__'s kick-off event.
-            sim.call_at(0.0, self._next_frame, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._pump(), name=f"link:{name}")
 
     def put(self, frame: Frame) -> None:
-        self.queue.put((frame.priority, next(self._seq), frame,
-                        self.sim.now))
-
-    # -- callback-mode pump (no metrics) --------------------------------
-    # Mirrors _pump() below step for step; every rng draw, counter
-    # update and scheduling call happens at the same simulated instant
-    # and consumes the same heap seq as the generator would, so fault
-    # trajectories and event counts stay byte-identical either way.
+        entry = (frame.priority, next(self._seq), frame, self.sim.now)
+        if self._busy:
+            heapq.heappush(self.queue, entry)
+        else:
+            self._on_entry(entry)
 
     def _next_frame(self) -> None:
+        """Start the next queued frame, or go idle."""
         queue = self.queue
-        on_entry = self._on_entry
-        while True:
-            get = queue.get()
-            if not get.triggered:
-                get.callbacks.append(self._on_get)
+        while queue:
+            if self._on_entry(heapq.heappop(queue)):
                 return
-            if on_entry(get._value):
-                return
-            # Instant drop (link flap): take the next frame now, same
-            # as the generator's ``continue`` — iterative, so a deep
-            # queue drained during a flap cannot blow the stack.
-
-    def _on_get(self, event) -> None:
-        if not self._on_entry(event._value):
-            self._next_frame()
+            # Instant drop (link flap): take the next frame now —
+            # iteratively, so a deep queue drained during a flap cannot
+            # blow the stack.
+        self._busy = False
 
     def _on_entry(self, entry) -> bool:
         """Start serializing one dequeued frame.  Returns False only on
         the instant-drop path (caller pulls the next frame)."""
-        _prio, _seq, frame, _enqueued_at = entry
+        _prio, _seq, frame, enqueued_at = entry
         faults = self.faults
         if faults is not None and faults.is_down(self.sim.now):
+            # Link flap, queue-drain semantics: the laser is off, so
+            # the frame vanishes instantly without occupying the wire.
             self.frames_dropped += 1
             faults.count_flap_drop()
             return False
+        self._busy = True
         ser = frame.wire_bytes / self._eff_rate
+        if self._m_qdelay is not None:
+            self._m_qdelay.observe(self.sim.now - enqueued_at)
+            self._m_busy_us.inc(ser)
         if self.loss_rate and self.rng is not None \
                 and self.rng.random() < self.loss_rate:
             self.sim.call_at(ser, self._drop_after_busy, cancellable=False)
@@ -151,12 +134,15 @@ class _HalfLink:
             self.sim.call_at(ser, self._drop_after_busy, cancellable=False)
             return True
         if self.jitter_us and self.rng is not None:
+            # dispersion jitter delays delivery, not the wire
             extra = self.rng.uniform(0.0, self.jitter_us)
         else:
             extra = 0.0
         if faults is not None:
             extra += faults.extra_delay(self.sim.now)
         if getattr(self.endpoint, "cut_through", False):
+            # Hand off after one packet's worth of bytes; the wire
+            # stays busy for the full serialization.
             handoff = min(ser, CUT_THROUGH_BYTES / self._eff_rate)
             self._schedule_delivery(frame, handoff + self.delay_us + extra)
             self.sim.call_at(ser, self._finish, (frame, None),
@@ -181,57 +167,10 @@ class _HalfLink:
             self._schedule_delivery(frame, self.delay_us + extra)
         self.bytes_carried += frame.wire_bytes
         self.frames_carried += 1
+        if self._m_bytes is not None:
+            self._m_bytes.inc(frame.wire_bytes)
+            self._m_frames.inc()
         self._next_frame()
-
-    # -- generator-mode pump (metrics / legacy dispatch) ----------------
-    def _pump(self):
-        queue = self.queue
-        ser_wait = self._ser_wait
-        while True:
-            entry = yield queue.get()
-            _prio, _seq, frame, enqueued_at = entry
-            faults = self.faults
-            if faults is not None and faults.is_down(self.sim.now):
-                # Link flap, queue-drain semantics: the laser is off, so
-                # the frame vanishes instantly without occupying the wire.
-                self.frames_dropped += 1
-                faults.count_flap_drop()
-                continue
-            ser = frame.wire_bytes / self._eff_rate
-            if self._m_qdelay is not None:
-                self._m_qdelay.observe(self.sim.now - enqueued_at)
-                self._m_busy_us.inc(ser)
-            if self.loss_rate and self.rng is not None \
-                    and self.rng.random() < self.loss_rate:
-                yield ser_wait.arm(ser)  # the wire was still busy
-                self.frames_dropped += 1
-                continue
-            if faults is not None and faults.should_drop(self.name):
-                yield ser_wait.arm(ser)  # the wire was still busy
-                self.frames_dropped += 1
-                continue
-            if self.jitter_us and self.rng is not None:
-                # dispersion jitter delays delivery, not the wire
-                extra = self.rng.uniform(0.0, self.jitter_us)
-            else:
-                extra = 0.0
-            if faults is not None:
-                extra += faults.extra_delay(self.sim.now)
-            if getattr(self.endpoint, "cut_through", False):
-                # Hand off after one packet's worth of bytes; the wire
-                # stays busy for the full serialization below.
-                handoff = min(ser, CUT_THROUGH_BYTES / self._eff_rate)
-                self._schedule_delivery(frame, handoff + self.delay_us
-                                        + extra)
-                yield ser_wait.arm(ser)
-            else:
-                yield ser_wait.arm(ser)
-                self._schedule_delivery(frame, self.delay_us + extra)
-            self.bytes_carried += frame.wire_bytes
-            self.frames_carried += 1
-            if self._m_bytes is not None:
-                self._m_bytes.inc(frame.wire_bytes)
-                self._m_frames.inc()
 
     def _schedule_delivery(self, frame: Frame, delay: float) -> None:
         # Jitter must never reorder frames (RC assumes FIFO wires):

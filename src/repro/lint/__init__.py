@@ -1,10 +1,10 @@
 """Determinism & simulation-safety static analysis.
 
-Every replay guarantee in this reproduction — golden traces, cached
-parallel runs, seeded fault plans, the fast-vs-legacy equivalence
-proof — rests on code-level invariants (no wall clock, no unseeded
-randomness, no unordered iteration feeding the event loop, slotted
-hot-path records, fast/legacy patch parity).  This package turns those
+Every replay guarantee in this reproduction — golden traces, the
+result oracle, cached parallel runs, seeded fault plans — rests on
+code-level invariants (no wall clock, no unseeded randomness, no
+unordered iteration feeding the event loop, slotted hot-path records,
+flow/packet parity).  This package turns those
 conventions into machine-checked rules; ``python -m repro.lint`` is
 wired into CI as a gate.
 
@@ -16,9 +16,10 @@ Rule families:
 * **SIM** — simulation safety: process generators yield events,
   callbacks are not generators, hot-path records declare
   ``__slots__``, no container mutation during its own iteration.
-* **PAR** — fast/legacy parity: :func:`repro.sim._legacy.legacy_dispatch`
-  patch targets must exist with matching signatures, and every
-  fast-pump module must keep its generator-mode twin.
+* **PAR** — parity: flow twins against the profile fields and packet
+  modules they shadow, backends against the backend protocol, harness
+  durations on monotonic clocks, protocol frames against fail-closed
+  fixtures.
 
 See ``python -m repro.lint --list-rules`` for the full table, and the
 README "Static analysis" section for suppression syntax.

@@ -169,12 +169,12 @@ class MPIProcess:
         if size < self.tuning.eager_threshold:
             if self._m_eager is not None:
                 self._m_eager.inc()
-            self._tx.put(("eager", dst, size, tag, payload, req))
+            self._tx.put_nowait(("eager", dst, size, tag, payload, req))
         else:
             if self._m_rndv is not None:
                 self._m_rndv.inc()
             self._rndv_sends[req.req_id] = (dst, size, payload, req)
-            self._tx.put(("rts", dst, size, tag, None, req))
+            self._tx.put_nowait(("rts", dst, size, tag, None, req))
         if self._m_bytes is not None:
             self._m_bytes.inc(size)
         return req
@@ -316,8 +316,8 @@ class MPIProcess:
             _, src, _tag, _size, handshake = msg
             sreq_id, rreq_id = handshake
             dst, size, payload, req = self._rndv_sends.pop(sreq_id)
-            self._tx.put(("rndv_data", dst, size, (sreq_id, rreq_id),
-                          payload, req))
+            self._tx.put_nowait(("rndv_data", dst, size,
+                                 (sreq_id, rreq_id), payload, req))
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"rank {self.rank}: bad message {msg!r}")
 
@@ -332,8 +332,8 @@ class MPIProcess:
                      sreq_id: int) -> None:
         req.src, req.tag, req.size = src, tag, size
         self._rndv_recvs[req.req_id] = req
-        self._tx.put(("cts", src, size, tag, None,
-                      _CtsCarrier(sreq_id, req.req_id)))
+        self._tx.put_nowait(("cts", src, size, tag, None,
+                             _CtsCarrier(sreq_id, req.req_id)))
 
     def _finish_recv(self, req: MPIRequest, src: int, tag: int, size: int,
                      data: Any) -> None:

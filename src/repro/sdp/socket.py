@@ -87,7 +87,7 @@ class SdpStack:
         yield peer_sock._ctrl.get()
         peer_sock.qp.send(64, payload=(_CTRL, "rep"))
         yield sock._ctrl.get()
-        listener._backlog.put(peer_sock)
+        listener._backlog.put_nowait(peer_sock)
         return sock
 
 
@@ -136,7 +136,7 @@ class SdpSocket:
         """Queue ``nbytes``; ``record`` marks a message boundary."""
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
-        self._tx.put((nbytes, record))
+        self._tx.put_nowait((nbytes, record))
 
     def recv_bytes(self, nbytes: int):
         """Event firing after ``nbytes`` more bytes arrive."""
@@ -181,7 +181,7 @@ class SdpSocket:
             self.qp.post_recv(RecvWR(_HUGE))
             payload = wc.payload
             if payload and payload[0] == _CTRL:
-                self._ctrl.put(payload)
+                self._ctrl.put_nowait(payload)
                 continue
             _kind, chunk, record = payload
             if chunk < profile.sdp_zcopy_threshold:
@@ -189,7 +189,7 @@ class SdpSocket:
                     profile.sdp_bcopy_us_per_byte * chunk)
             self._rx_bytes += chunk
             if record is not None:
-                self._records.put((self._rx_bytes, record))
+                self._records.put_nowait((self._rx_bytes, record))
             if self._rx_watchers:
                 still = []
                 for target, evt in self._rx_watchers:

@@ -174,11 +174,11 @@ class Timeout(Event):
 class ReusableTimeout(Event):
     """A timeout event its owner re-arms instead of reallocating.
 
-    Generator pumps that sleep at most once per loop iteration (link
-    serialization, HCA send overhead, retransmit timers) previously
-    built a fresh :class:`Timeout` — one object plus one callback list —
-    per frame.  A ``ReusableTimeout`` is created once per pump and
-    re-armed after each trip through the event loop::
+    Processes that sleep at most once per loop iteration (retransmit
+    timers, TCP/SDP CPU costs) would otherwise build a fresh
+    :class:`Timeout` — one object plus one callback list — per sleep.
+    A ``ReusableTimeout`` is created once per process and re-armed
+    after each trip through the event loop::
 
         t = ReusableTimeout(sim)
         while True:

@@ -88,6 +88,24 @@ class Store:
     def put(self, item: Any) -> StorePut:
         return StorePut(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Put ``item`` for a caller that never waits on the put.
+
+        Buffers the item, or hands it to the head getter, and schedules
+        only that getter's event: :meth:`put` would also schedule its
+        own, callback-free :class:`StorePut`.  Dropping that heap entry
+        cannot reorder the remaining ones, so the two are
+        interchangeable wherever the put event is discarded.  A full
+        store, or one with blocked putters, falls back to :meth:`put`,
+        whose pending event holds the item until room frees up.
+        """
+        if self._put_waiters or len(self._items) >= self.capacity:
+            self.put(item)
+        elif self._get_waiters:
+            self._get_waiters.pop(0).succeed(item)
+        else:
+            self._do_put(item)
+
     def get(self) -> StoreGet:
         return StoreGet(self)
 
@@ -95,7 +113,7 @@ class Store:
         """Non-blocking put; returns False when the store is full."""
         if len(self._items) >= self.capacity and not self._get_waiters:
             return False
-        self.put(item)
+        self.put_nowait(item)
         return True
 
     @property

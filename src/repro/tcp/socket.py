@@ -110,7 +110,7 @@ class TcpStack:
         self.iface.send(dst_lid, self.profile.tcp_header_bytes, seg)
 
     def _rx_enqueue(self, src_lid: int, nbytes: int, seg: Segment) -> None:
-        self._rx_queue.put((src_lid, seg))
+        self._rx_queue.put_nowait((src_lid, seg))
 
     def _rx_pump(self):
         profile = self.profile
@@ -145,7 +145,7 @@ class TcpStack:
             sock._established.succeed()
             self._tx_control(src_lid, Segment(
                 SYNACK, seg.dst_port, seg.src_port, rwnd=sock.rwnd))
-            listener._backlog.put(sock)
+            listener._backlog.put_nowait(sock)
             return
         sock = self._socks.get((src_lid, seg.src_port, seg.dst_port))
         if sock is None:
@@ -339,7 +339,7 @@ class Socket:
             if self.retransmit and was_idle:
                 # First unacked byte of a burst (re)starts the RTO clock.
                 self._last_progress_at = self.sim.now
-                self._rto_kick.put(None)
+                self._rto_kick.put_nowait(None)
 
     # -- receiver / ACK processing ------------------------------------------
     def _on_segment(self, seg: Segment) -> None:
@@ -392,7 +392,7 @@ class Socket:
             # Partial overlap: deliver only the new tail.
             for offset, obj in seg.records:
                 if offset > self.rcv_next:
-                    self._recv_records.put((offset, obj))
+                    self._recv_records.put_nowait((offset, obj))
             self.rcv_next = end
         else:
             # Lossless in-order fabric: seq always matches rcv_next.
@@ -400,7 +400,7 @@ class Socket:
                 "TCP reordering cannot happen here"
             self.rcv_next += seg.length
             for offset, obj in seg.records:
-                self._recv_records.put((offset, obj))
+                self._recv_records.put_nowait((offset, obj))
         if self._rcv_watchers:
             still = []
             for target, evt in self._rcv_watchers:

@@ -21,7 +21,7 @@ class CompletionQueue:
 
     def push(self, wc: WorkCompletion) -> None:
         self.completions_seen += 1
-        self._store.put(wc)
+        self._store.put_nowait(wc)
 
     def wait(self):
         """Event yielding the next completion (blocking poll)."""

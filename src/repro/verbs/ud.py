@@ -10,12 +10,13 @@ construction (and the test-suite checks it stays that way).
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from collections import deque
+from typing import Any, Deque, Tuple
 
 from ..calibration import HardwareProfile
 from ..fabric.node import HCA
 from ..fabric.packet import Frame, wire_size
-from ..sim import URGENT, ReusableTimeout, Simulator, Store
+from ..sim import Simulator
 from .cq import CompletionQueue
 from .ops import Opcode, SendWR, WCStatus, WorkCompletion
 from .qp import QPState, QueuePair
@@ -23,11 +24,6 @@ from .qp import QPState, QueuePair
 __all__ = ["UDQueuePair"]
 
 UD_DATA = "ud_data"
-
-#: Kill switch for the callback-mode send pump, flipped only by
-#: :func:`repro.sim._legacy.legacy_dispatch` (see
-#: ``repro.fabric.link._FAST_PUMP``).
-_FAST_PUMP = True
 
 
 class UDQueuePair(QueuePair):
@@ -40,7 +36,9 @@ class UDQueuePair(QueuePair):
                  srq=None):
         super().__init__(sim, hca, send_cq, recv_cq, profile, srq=srq)
         self.state = QPState.RTS  # UD QPs need no connection
-        self._send_backlog: Store = Store(sim)
+        #: Datagrams queued behind the one paying its send overhead.
+        self._send_backlog: Deque[SendWR] = deque()
+        self._send_busy = False
         self.bytes_sent = 0
         self.messages_sent = 0
         m = getattr(sim, "metrics", None)
@@ -52,14 +50,6 @@ class UDQueuePair(QueuePair):
         else:
             self._m_msgs = self._m_bytes = None
             self._m_wqe = self._m_dropped = None
-        self._send_wait = ReusableTimeout(sim)
-        # Callback-mode pump when uninstrumented (same event trajectory
-        # as the generator, no resumes); see repro.fabric.link.
-        if _FAST_PUMP and m is None:
-            sim.call_at(0.0, self._next_send, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._send_pump(), name=f"udqp{self.qpn}.send")
 
     # -- send side -------------------------------------------------------
     def post_send(self, wr: SendWR) -> None:
@@ -69,7 +59,10 @@ class UDQueuePair(QueuePair):
             raise ValueError(
                 f"UD message of {wr.size}B exceeds the {self.profile.ib_mtu}B "
                 f"MTU (UD cannot segment)")
-        self._send_backlog.put(wr)
+        if self._send_busy:
+            self._send_backlog.append(wr)
+        else:
+            self._start_send(wr)
 
     def send(self, remote: Tuple[int, int], size: int,
              payload: Any = None) -> SendWR:
@@ -77,22 +70,8 @@ class UDQueuePair(QueuePair):
         self.post_send(wr)
         return wr
 
-    # -- callback-mode pump (no metrics) --------------------------------
-    # Mirrors _send_pump() step for step; same event trajectory (one
-    # URGENT kick-off pop, one StoreGet pop and one overhead pop per
-    # datagram), no generator resumes.  See repro.fabric.link.
-
-    def _next_send(self) -> None:
-        get = self._send_backlog.get()
-        if get.triggered:
-            self._start_send(get._value)
-        else:
-            get.callbacks.append(self._on_send_wr)
-
-    def _on_send_wr(self, event) -> None:
-        self._start_send(event._value)
-
     def _start_send(self, wr: SendWR) -> None:
+        self._send_busy = True
         self.sim.call_at(self.profile.hca_send_overhead_us,
                          self._finish_send, wr, cancellable=False)
 
@@ -107,6 +86,10 @@ class UDQueuePair(QueuePair):
             payload=wr)
         self.bytes_sent += wr.size
         self.messages_sent += 1
+        if self._m_msgs is not None:
+            self._m_msgs.inc()
+            self._m_bytes.inc(wr.size)
+            self._m_wqe.inc()
         self.sim.call_at(profile.hca_wire_latency_us,
                          self.hca.transmit, frame, cancellable=False)
         # Local completion: the datagram left the HCA; nobody waits
@@ -114,34 +97,10 @@ class UDQueuePair(QueuePair):
         self.send_cq.push(WorkCompletion(
             wr.wr_id, Opcode.SEND, WCStatus.SUCCESS, wr.size,
             self.qpn, self.sim.now))
-        self._next_send()
-
-    # -- generator-mode pump (metrics / legacy dispatch) ----------------
-    def _send_pump(self):
-        profile = self.profile
-        while True:
-            wr: SendWR = yield self._send_backlog.get()
-            yield self._send_wait.arm(profile.hca_send_overhead_us)
-            dst_lid, dst_qpn = wr.remote
-            frame = Frame(
-                src_lid=self.hca.lid, dst_lid=dst_lid, size=wr.size,
-                wire_bytes=wire_size(wr.size, profile.ib_mtu,
-                                     profile.ud_packet_header),
-                kind=UD_DATA, src_qpn=self.qpn, dst_qpn=dst_qpn,
-                payload=wr)
-            self.bytes_sent += wr.size
-            self.messages_sent += 1
-            if self._m_msgs is not None:
-                self._m_msgs.inc()
-                self._m_bytes.inc(wr.size)
-                self._m_wqe.inc()
-            self.sim.call_at(profile.hca_wire_latency_us,
-                             self.hca.transmit, frame, cancellable=False)
-            # Local completion: the datagram left the HCA; nobody waits
-            # for the far end.
-            self.send_cq.push(WorkCompletion(
-                wr.wr_id, Opcode.SEND, WCStatus.SUCCESS, wr.size,
-                self.qpn, self.sim.now))
+        if self._send_backlog:
+            self._start_send(self._send_backlog.popleft())
+        else:
+            self._send_busy = False
 
     # -- receive side -------------------------------------------------------
     def handle_frame(self, frame: Frame) -> None:

@@ -17,19 +17,15 @@ the WAN port and vice versa, with
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, Optional
 
 from ..calibration import HardwareProfile
 from ..fabric.link import Link
 from ..fabric.packet import Frame
-from ..sim import URGENT, Simulator, Store
+from ..sim import Simulator
 
 __all__ = ["Longbow", "LongbowPair"]
-
-#: Kill switch for the WAN pump's direct-continue inner loop, flipped
-#: only by :func:`repro.sim._legacy.legacy_dispatch` (see
-#: ``repro.fabric.link._FAST_PUMP``).
-_FAST_PUMP = True
 
 
 class Longbow:
@@ -49,8 +45,12 @@ class Longbow:
         self.peer: Optional["Longbow"] = None
         #: Remaining buffer bytes at the *peer* we may still occupy.
         self.credits: int = profile.longbow_buffer_bytes
-        self._credit_waiters: List = []
-        self._to_wan: Store = Store(sim)
+        #: Frames queued at the WAN port behind a credit-starved one.
+        self._to_wan: Deque[Frame] = deque()
+        #: The frame held at the WAN port until the peer returns credit.
+        self._pending_frame: Optional[Frame] = None
+        #: True while a held frame waits for the next credit release.
+        self._credit_wait = False
         self.frames_forwarded = 0
         #: Fault injection: cap on bytes queued toward the WAN port.
         #: ``None`` (the default) models the deep production buffer;
@@ -60,20 +60,6 @@ class Longbow:
         self.frames_dropped_overrun = 0
         self._m_overrun = None
         self._pool = profile.longbow_buffer_bytes
-        self._pending_frame: Optional[Frame] = None
-        # Mode selection, same contract as the link pump: metrics-free
-        # runs drive the WAN port with a callback state machine that
-        # reproduces the generator's event trajectory exactly (one
-        # URGENT kick-off pop, one StoreGet pop per frame, one Event
-        # pop per credit wait); instrumented runs keep the generator so
-        # queue-depth gauges and resume counters stay on their
-        # historical trajectories.
-        self._fast = _FAST_PUMP and getattr(sim, "metrics", None) is None
-        if self._fast:
-            sim.call_at(0.0, self._next_wan_frame, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._wan_pump(), name=f"{name}.pump")
 
     # -- wiring ----------------------------------------------------------
     def attach_ib(self, link: Link) -> None:
@@ -116,82 +102,43 @@ class Longbow:
                         self._m_overrun.inc()
                     return
                 self._ingress_bytes += frame.wire_bytes
-            self._to_wan.put(frame)
+            if self._pending_frame is None:
+                self._on_wan_frame(frame)
+            else:
+                self._to_wan.append(frame)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"{self.name}: frame from unknown link")
 
-    # -- callback-mode pump (no metrics) --------------------------------
-    # Mirrors _wan_pump() step for step at identical simulated instants
-    # and heap seqs; see repro.fabric.link for the pattern.
-
-    def _next_wan_frame(self) -> None:
-        to_wan = self._to_wan
-        on_frame = self._on_wan_frame
-        while True:
-            get = to_wan.get()
-            if not get.triggered:
-                get.callbacks.append(self._on_wan_get)
-                return
-            if on_frame(get._value):
-                return
-            # Frame forwarded instantly; pull the next one now, just as
-            # the generator's loop would.
-
-    def _on_wan_get(self, event) -> None:
-        if not self._on_wan_frame(event._value):
-            self._next_wan_frame()
-
+    # -- WAN port ----------------------------------------------------------
     def _on_wan_frame(self, frame: Frame) -> bool:
-        """Returns True when waiting on credit, False once forwarded."""
+        """Forward one frame onto the WAN, or hold it until the peer has
+        buffer space.  Returns True when the frame is held."""
         if self.ingress_limit_bytes is not None:
             self._ingress_bytes -= frame.wire_bytes
-        needed = min(frame.wire_bytes, self._pool)
-        if self.credits < needed:
+        # A frame larger than the whole pool streams through once the
+        # buffer is fully drained (packet-granular hardware never
+        # deadlocks on one big message).
+        if self.credits < min(frame.wire_bytes, self._pool):
             self._pending_frame = frame
-            waiter = self.sim.event()
-            waiter.callbacks.append(self._on_credit)
-            self._credit_waiters.append(waiter)
+            self._credit_wait = True
             return True
         self.credits -= frame.wire_bytes
         self.frames_forwarded += 1
         self._forward_after(frame, self.wan_link)
         return False
 
-    def _on_credit(self, _event) -> None:
+    def _on_credit(self) -> None:
         frame = self._pending_frame
-        needed = min(frame.wire_bytes, self._pool)
-        if self.credits < needed:
-            # Still short: queue another waiter, exactly like the
-            # generator's while-loop would.
-            waiter = self.sim.event()
-            waiter.callbacks.append(self._on_credit)
-            self._credit_waiters.append(waiter)
+        if self.credits < min(frame.wire_bytes, self._pool):
+            self._credit_wait = True  # still short: wait for the next release
             return
         self._pending_frame = None
         self.credits -= frame.wire_bytes
         self.frames_forwarded += 1
         self._forward_after(frame, self.wan_link)
-        self._next_wan_frame()
-
-    # -- generator-mode pump (metrics / legacy dispatch) ----------------
-    def _wan_pump(self):
-        pool = self._pool
         to_wan = self._to_wan
-        while True:
-            frame = yield to_wan.get()
-            if self.ingress_limit_bytes is not None:
-                self._ingress_bytes -= frame.wire_bytes
-            # A frame larger than the whole pool streams through once the
-            # buffer is fully drained (packet-granular hardware never
-            # deadlocks on one big message).
-            needed = min(frame.wire_bytes, pool)
-            while self.credits < needed:
-                waiter = self.sim.event()
-                self._credit_waiters.append(waiter)
-                yield waiter
-            self.credits -= frame.wire_bytes
-            self.frames_forwarded += 1
-            self._forward_after(frame, self.wan_link)
+        while to_wan and not self._on_wan_frame(to_wan.popleft()):
+            pass
 
     def _forward_after(self, frame: Frame, link: Link) -> None:
         self.sim.call_at(self.profile.longbow_forward_us, self._send_on,
@@ -203,9 +150,9 @@ class Longbow:
 
     def _release_credit(self, nbytes: int) -> None:
         self.credits += nbytes
-        waiters, self._credit_waiters = self._credit_waiters, []
-        for w in waiters:
-            w.succeed()
+        if self._credit_wait:
+            self._credit_wait = False
+            self.sim.call_at(0.0, self._on_credit, cancellable=False)
 
 
 class LongbowPair:

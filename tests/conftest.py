@@ -1,4 +1,6 @@
-"""Shared pytest configuration: a per-test wall-clock timeout.
+"""Shared pytest configuration: a per-test wall-clock timeout, and the
+session-scoped ``quick_result`` fixture (one computation per experiment
+shared by every test that reads a quick result).
 
 The fault-injection suite exercises recovery paths that, when broken,
 manifest as *hangs* (a retransmission pump that never fires, an RPC
@@ -69,3 +71,23 @@ def pytest_runtest_call(item):
         signal.setitimer(signal.ITIMER_REAL, *old_timer)
         signal.signal(signal.SIGALRM, old_handler)
         socket.setdefaulttimeout(old_socket_default)
+
+
+@pytest.fixture(scope="session")
+def quick_result():
+    """``quick_result(exp_id, flow_mode=None)``: the quick-mode result of
+    one experiment, computed once per session and shared by the oracle,
+    integration, determinism and CLI tests.  Callers must not mutate
+    the returned :class:`~repro.core.registry.ExperimentResult`."""
+    from repro.core.registry import run_experiment
+    from repro.flow.context import activated
+    memo = {}
+
+    def get(exp_id, flow_mode=None):
+        key = (exp_id, flow_mode)
+        if key not in memo:
+            with activated(flow_mode):
+                memo[key] = run_experiment(exp_id, quick=True)
+        return memo[key]
+
+    return get

@@ -44,7 +44,7 @@ def test_metrics_summary_with_parallel_jobs(capsys):
     assert "counter" in out[start:], "summary table should follow results"
 
 
-def test_out_writes_valid_json_lines(tmp_path, capsys):
+def test_out_writes_valid_json_lines(tmp_path, capsys, quick_result):
     out_path = tmp_path / "results.jsonl"
     assert main(["experiments", "table1", "fig03",
                  "--out", str(out_path)]) == 0
@@ -55,6 +55,9 @@ def test_out_writes_valid_json_lines(tmp_path, capsys):
     results = read_jsonl(out_path)
     assert [r.exp_id for r in results] == ["table1", "fig03"]
     assert results[0].rows[0] == ("1 km", "5 us")
+    # The CLI path stores the same bytes as a direct in-process run.
+    for result in results:
+        assert result.to_json() == quick_result(result.exp_id).to_json()
 
 
 def test_cache_flag_round_trip(tmp_path, capsys):

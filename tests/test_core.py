@@ -192,8 +192,8 @@ def test_registry_covers_every_figure_and_table():
     assert expected.issubset(EXPERIMENTS.keys())
 
 
-def test_experiment_result_formatting():
-    res = run_experiment("table1")
+def test_experiment_result_formatting(quick_result):
+    res = quick_result("table1")
     text = res.to_text()
     assert "table1" in text
     assert "2000 km" in text

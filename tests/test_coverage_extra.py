@@ -194,9 +194,9 @@ def test_sdp_bcopy_vs_zcopy_threshold_behaviour():
 # experiments: quick vs full flags
 # ---------------------------------------------------------------------------
 
-def test_full_sweep_is_superset_for_fig04a():
+def test_full_sweep_is_superset_for_fig04a(quick_result):
     from repro.core import run_experiment
-    quick = run_experiment("fig04a", quick=True)
+    quick = quick_result("fig04a")
     full = run_experiment("fig04a", quick=False)
     assert len(full.rows) > len(quick.rows)
     assert quick.columns == full.columns

@@ -21,8 +21,8 @@ SUBSET = ["table1", "fig04a", "fig05a", "fig13b"]
 
 
 @pytest.fixture(scope="module")
-def serial_results():
-    return {r.exp_id: r for r in run_all(quick=True, ids=SUBSET)}
+def serial_results(quick_result):
+    return {exp_id: quick_result(exp_id) for exp_id in SUBSET}
 
 
 def _bytes(results):

@@ -8,7 +8,7 @@ what must never regress.
 import pytest
 
 from repro.calibration import DEFAULT_PROFILE, KB, MB
-from repro.core import run_experiment, wan_pair
+from repro.core import wan_pair
 from repro.verbs import perftest
 
 
@@ -61,25 +61,25 @@ def test_rc_bandwidth_matches_window_over_rtt():
 # §3.3 / §3.4 — IPoIB and MPI optimizations
 # ---------------------------------------------------------------------------
 
-def test_parallel_streams_claim():
+def test_parallel_streams_claim(quick_result):
     """Paper abstract: parallel streams improve high-delay throughput
     by a large factor (quoted 'up to 50%')."""
-    res = run_experiment("opt_streams")
+    res = quick_result("opt_streams")
     gains = res.column("gain_%")
     assert max(gains) > 40.0
 
 
-def test_threshold_tuning_claim():
+def test_threshold_tuning_claim(quick_result):
     """Paper §3.4: tuning the rendezvous threshold helps medium messages
     at 10 ms delay (quoted up to ~83% bidirectional)."""
-    res = run_experiment("fig09a")
+    res = quick_result("fig09a")
     assert max(res.column("improvement_%")) > 50.0
 
 
-def test_hierarchical_bcast_claim():
+def test_hierarchical_bcast_claim(quick_result):
     """Paper §3.4: hierarchical bcast wins for medium/large messages,
     with gains up to ~90% at high delay."""
-    res = run_experiment("fig11")
+    res = quick_result("fig11")
     rows = res.rows
     # small messages: comparable (within 25%); largest at 1ms: big win
     small = [r for r in rows if r[1] == 4 * KB]
@@ -115,17 +115,17 @@ def test_message_rate_scales_with_pairs():
 # §3.5 / §3.7 — applications and NFS
 # ---------------------------------------------------------------------------
 
-def test_nas_tolerance_ordering():
-    res = run_experiment("fig12")
+def test_nas_tolerance_ordering(quick_result):
+    res = quick_result("fig12")
     by_bench = {r[0]: r for r in res.rows}
     # last column = slowdown at 10ms
     assert by_bench["IS"][-1] < 1.3
     assert by_bench["CG"][-1] > 1.8
 
 
-def test_nfs_transport_crossover():
-    low = run_experiment("fig13b")
-    high = run_experiment("fig13c")
+def test_nfs_transport_crossover(quick_result):
+    low = quick_result("fig13b")
+    high = quick_result("fig13c")
     # at 8 streams: RDMA best at 10us, IPoIB-RC best at 1ms
     row_low = low.rows[-1]
     row_high = high.rows[-1]

@@ -4,10 +4,9 @@ Covers the ``call_at`` scheduling contract (ordering, cancellation,
 freelist recycling), :class:`ReusableTimeout`, the hardened
 ``Event.trigger``, ``run(until=<number>)`` boundary semantics,
 condition edge cases, the interrupt-vs-termination race, in-flight
-``Link.set_delay`` behaviour — and the central equivalence claim: a
-busy WAN workload produces identical clocks, event counts and
-bandwidths with the fast path enabled and with the legacy
-allocation-per-event dispatch patched back in.
+``Link.set_delay`` behaviour, in-place starts on idle links — and a
+busy WAN workload whose clock, bandwidth, latency and exact event
+count are pinned.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.fabric.link import Link
 from repro.fabric.packet import Frame
 from repro.sim import (URGENT, AllOf, AnyOf, ReusableTimeout,
                        SimulationError, Simulator)
-from repro.sim._legacy import legacy_dispatch
 from repro.verbs import perftest
 
 
@@ -264,14 +262,47 @@ def test_set_delay_spares_frames_already_past_serialization():
     assert arrivals[f3.frame_id] == pytest.approx(111.0)
 
 
+def test_frame_on_idle_link_finishes_serializing_on_time():
+    """A frame put on an idle wire starts serializing at once: its last
+    byte leaves ``wire_bytes / rate`` later, and it arrives one
+    propagation delay after that (store-and-forward endpoint).  A
+    second frame queued behind it starts when the first finishes."""
+    sim = Simulator()
+    a, b = _Probe(sim), _Probe(sim)
+    link = Link(sim, rate=1000.0, delay_us=10.0, name="idle").attach(a, b)
+    half = link._ab
+    f1 = Frame(src_lid=1, dst_lid=2, size=2000, wire_bytes=2000)
+    f2 = Frame(src_lid=1, dst_lid=2, size=500, wire_bytes=500)
+    sim.call_at(3.0, lambda: link.send(a, f1))
+    sim.call_at(3.5, lambda: link.send(a, f2))
+    sim.run(until=4.0)
+    assert half._busy and half.queued_frames == 1
+    # f1's serialization ends at exactly 3 + 2000/1000 = 5 µs: not
+    # before (strict ``until`` leaves the boundary event pending) ...
+    sim.run(until=5.0)
+    assert half.frames_carried == 0
+    # ... and not after.
+    sim.run(until=5.0 + 1e-9)
+    assert half.frames_carried == 1
+    sim.run()
+    arrivals = dict(b.arrivals)
+    assert arrivals[f1.frame_id] == pytest.approx(15.0)
+    assert arrivals[f2.frame_id] == pytest.approx(5.5 + 10.0)
+    assert half.frames_carried == 2 and not half._busy
+    # Two sends, two serialization ends, two deliveries: no queue,
+    # wake-up or kick-off events (the Store-fed pump popped 12 for the
+    # same timeline).
+    assert sim.event_count == 6
+
+
 # ---------------------------------------------------------------------------
-# Fast path vs legacy dispatch: whole-simulation equivalence
+# Whole-simulation regression: a busy multi-hop WAN workload
 # ---------------------------------------------------------------------------
 
 def _busy_wan_workload():
     """RC bandwidth then UD latency across a delayed Longbow WAN —
     exercises links, switches, Longbow credit flow, RC windows/ACKs and
-    the UD pump in one simulation."""
+    the UD send path in one simulation."""
     sim = Simulator()
     fabric = build_cluster_of_clusters(sim, 2, 2, wan_delay_us=250.0)
     bw = perftest.run_send_bw(sim, fabric.cluster_a[0],
@@ -284,9 +315,12 @@ def _busy_wan_workload():
             "bw": bw, "lat": lat}
 
 
-def test_fast_and_legacy_dispatch_are_equivalent():
-    fast = _busy_wan_workload()
-    with legacy_dispatch():
-        legacy = _busy_wan_workload()
-    assert fast == legacy
-    assert fast["events"] > 3_000  # meaningfully busy, not a toy run
+def test_busy_wan_workload_is_pinned():
+    """Bandwidth, latency and clock are the values every earlier kernel
+    produced.  The event count is the exact budget of the pump-owned
+    send queues: 2446 heap pops, down from 4579 when every link, Longbow
+    and QP send went through a ``Store`` (one put event, one wake-up
+    event and one t=0 kick-off per sender)."""
+    run = _busy_wan_workload()
+    assert run == {"events": 2446, "clock": 500000.4,
+                   "bw": 985.5630413859469, "lat": 258.8679999999997}

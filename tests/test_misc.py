@@ -155,9 +155,8 @@ def test_experiment_registry_ids_unique_and_callable():
         assert fn.title
 
 
-def test_experiment_column_accessor_unknown():
-    from repro.core import run_experiment
-    res = run_experiment("table1")
+def test_experiment_column_accessor_unknown(quick_result):
+    res = quick_result("table1")
     with pytest.raises(ValueError):
         res.column("nope")
 

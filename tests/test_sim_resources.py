@@ -111,6 +111,67 @@ def test_store_multiple_consumers_fifo_service():
 
 
 # ---------------------------------------------------------------------------
+# Store.put_nowait
+# ---------------------------------------------------------------------------
+
+def test_put_nowait_hands_items_to_waiting_getters_in_fifo_order():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def consumer(name):
+        got.append((name, (yield store.get()), sim.now))
+
+    for name in ("first", "second"):
+        sim.process(consumer(name))
+    sim.run()  # both getters now wait on the empty store
+    sim.call_at(4.0, store.put_nowait, "a")
+    sim.call_at(4.0, store.put_nowait, "b")
+    sim.call_at(5.0, store.put_nowait, "c")
+    sim.run()
+    assert got == [("first", "a", 4.0), ("second", "b", 4.0)]
+    assert list(store.items) == ["c"]
+
+
+def test_put_nowait_schedules_no_event_for_the_putter():
+    sim = Simulator()
+    store = Store(sim)
+    store.put_nowait("buffered")
+    assert sim._queue == [] and list(store.items) == ["buffered"]
+    store.get()  # served from the buffer: one getter event
+    assert len(sim._queue) == 1
+    sim.run()
+    waiter = store.get()
+    store.put_nowait("handed")
+    # Only the woken getter's event is on the heap, and nothing is
+    # left buffered.
+    assert [entry[3] for entry in sim._queue] == [waiter]
+    assert len(store) == 0
+    sim.run()
+    assert waiter.value == "handed"
+    # put() would also have scheduled its own StorePut.
+    store.put("via-put")
+    assert len(sim._queue) == 1
+
+
+def test_put_nowait_on_a_full_bounded_store_falls_back_to_put():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    store.put_nowait("a")
+    store.put_nowait("b")  # full: queued as a pending putter
+    assert list(store.items) == ["a"] and len(store._put_waiters) == 1
+    got = []
+
+    def consumer():
+        for _ in range(2):
+            got.append((yield store.get()))
+
+    sim.process(consumer())
+    sim.run()
+    assert got == ["a", "b"] and len(store) == 0
+
+
+# ---------------------------------------------------------------------------
 # PriorityStore
 # ---------------------------------------------------------------------------
 
